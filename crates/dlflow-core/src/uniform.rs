@@ -47,17 +47,6 @@ pub fn uniform_factors<S: Scalar>(inst: &Instance<S>) -> Option<UniformFactors<S
     // Each connected component can be normalized independently.
     loop {
         let mut changed = false;
-        // Seed any untouched component: first machine with a finite cost
-        // to an unassigned job, or an entirely fresh machine.
-        if let Some(i) =
-            (0..m).find(|&i| speed[i].is_none() && (0..n).any(|j| inst.cost(i, j).is_finite()))
-        {
-            let fresh = (0..n).all(|j| !inst.cost(i, j).is_finite() || work[j].is_none());
-            if fresh {
-                speed[i] = Some(S::one());
-                changed = true;
-            }
-        }
         for i in 0..m {
             for j in 0..n {
                 let Some(c) = inst.cost(i, j).finite() else {
@@ -91,8 +80,22 @@ pub fn uniform_factors<S: Scalar>(inst: &Instance<S>) -> Option<UniformFactors<S
                 }
             }
         }
-        if !changed {
-            break;
+        if changed {
+            continue;
+        }
+        // Fixpoint: every component touched so far is fully assigned.
+        // Seed the next untouched one at its first machine — one with a
+        // finite cost, all of whose jobs are still unassigned. Seeding
+        // before the fixpoint could normalize a machine whose component
+        // is already anchored, and then fail the consistency check.
+        let fresh = (0..m).find(|&i| {
+            speed[i].is_none()
+                && (0..n).any(|j| inst.cost(i, j).is_finite())
+                && (0..n).all(|j| !inst.cost(i, j).is_finite() || work[j].is_none())
+        });
+        match fresh {
+            Some(i) => speed[i] = Some(S::one()),
+            None => break,
         }
     }
     // Machines with no finite entries get speed 1 (they are never used);
@@ -280,6 +283,24 @@ mod tests {
         // Consistency: c = W·s on all finite entries.
         assert_eq!(f.work[0].mul_ref(&f.speed[0]), ri(3));
         assert_eq!(f.work[1].mul_ref(&f.speed[1]), ri(7));
+    }
+
+    #[test]
+    fn component_reached_late_in_a_pass_is_not_reseeded() {
+        // W = [5, 7], s = [1, 2, 3]; m0 runs only J1, m1 only J0, m2 both.
+        // The first pass anchors m0 → J1 → m2, but J0 (m1's only job) is
+        // reached only on the next pass: m1 must inherit speed 2 from it,
+        // not be seeded as a fresh component with speed 1.
+        let mut b = InstanceBuilder::<Rat>::new();
+        b.job(Rat::zero(), Rat::one());
+        b.job(Rat::zero(), Rat::one());
+        b.machine(vec![None, Some(ri(7))]);
+        b.machine(vec![Some(ri(10)), None]);
+        b.machine(vec![Some(ri(15)), Some(ri(21))]);
+        let inst = b.build().unwrap();
+        let f = uniform_factors(&inst).expect("uniform");
+        assert_eq!(f.speed, vec![Rat::one(), ri(2), ri(3)]);
+        assert_eq!(f.work, vec![ri(5), ri(7)]);
     }
 
     #[test]

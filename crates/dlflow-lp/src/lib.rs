@@ -16,7 +16,14 @@
 //! * **`LpProblem<Rat>`** — exact rational arithmetic with Bland's rule:
 //!   terminates, never cycles, returns *the* optimum. Used by the
 //!   Theorem 2 milestone search, where "optimal max weighted flow" is an
-//!   exact rational number.
+//!   exact rational number. A solve with no warm hint is **shadow-seeded**:
+//!   *f64 picks the basis, `Rat` finishes it.* An `f64` copy of the
+//!   problem is solved first, and only its set of basic columns is kept;
+//!   the exact warm path re-realizes that basis by exact pivoting and
+//!   repairs it (dual, then primal simplex) to an exact verdict. Exactness
+//!   holds because no float value survives: a wrong float choice can only
+//!   cost pivots, and a basis the repair cannot use falls back to the
+//!   exact cold solve.
 //! * **`LpProblem<f64>`** — fast approximate mode for large parameter
 //!   sweeps in the benchmark harness.
 //!

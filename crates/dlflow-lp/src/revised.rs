@@ -20,12 +20,24 @@
 //!   **dual simplex** repair (valid whenever the warm basis is dual
 //!   feasible, which always holds for pure feasibility probes with a zero
 //!   objective). On any mismatch or failure it falls back to a cold solve.
+//! * **Shadow seeding** (exact scalars, no hint): *f64 picks the basis,
+//!   the exact scalar finishes it.* A cold exact solve pays for every
+//!   pivot in big rationals, so [`solve_warm`] first solves an `f64`
+//!   shadow (every coefficient through [`Scalar::to_f64`]) and, when the
+//!   shadow ends optimal, hands its basis to the warm path above. Only
+//!   the *set of basic columns* crosses over: the exact tableau is
+//!   rebuilt from the original coefficients, and the verdict comes from
+//!   the exact dual/primal repair (Bland fallback included), so the
+//!   result is the exact optimum whatever roundoff did to the shadow. A
+//!   shadow that is not optimal, a basis that cannot be realized, or one
+//!   that is neither primal nor dual feasible falls back to the exact
+//!   cold solve. `f64` solves skip the shadow (their tolerance is nonzero).
 //!
 //! The seed's dense two-phase solver survives as `solve_dense`
 //! ([`crate::simplex::solve`]) and is the reference oracle in the
 //! property tests.
 
-use crate::problem::{LpProblem, Rel, Sense};
+use crate::problem::{LinExpr, LpProblem, Rel, Sense};
 use crate::solution::LpSolution;
 use dlflow_num::Scalar;
 
@@ -113,20 +125,69 @@ pub fn solve<S: Scalar>(problem: &LpProblem<S>) -> LpSolution<S> {
 }
 
 /// Solves the problem, optionally warm-starting from a previous basis.
+///
+/// With no hint over an exact scalar ([`Scalar::tolerance`] is zero) the
+/// solve is *shadow-seeded*: an `f64` copy of `p` is solved first and
+/// its optimal basis is handed to the exact warm path, which re-realizes
+/// and repairs it in `S`. Floats only choose which columns start basic;
+/// every value and verdict is recomputed exactly, and any failure falls
+/// through to the exact cold solve. `warm_used` stays `false` — no hint
+/// was used.
 pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
-    if let Some(h) = hint {
-        if h.compatible_with(p) {
-            if let Some(out) = try_warm(p, h) {
-                return out;
-            }
-        }
+    let seeded = match hint {
+        Some(h) if h.compatible_with(p) => try_warm(p, h),
+        None if S::tolerance() == S::zero() => try_shadow(p),
+        _ => None,
+    };
+    if let Some(out) = seeded {
+        return out;
     }
-    let (solution, basis) = Tab::build_cold(p).solve_cold(p);
+    let (solution, basis) = Tab::build_cold(p).solve_cold(p).unwrap_or_else(|| {
+        // dlflint:allow(hot-path-panic, "pivot-cap backstop: Bland's rule cannot cycle and phase 1 is bounded below by 0, so this is unreachable outside a solver bug")
+        panic!(
+            "sparse simplex exceeded pivot cap or found phase 1 unbounded — this indicates a bug"
+        )
+    });
     WarmSolve {
         solution,
         basis,
         warm_used: false,
     }
+}
+
+/// The `f64` shadow of `p`: same variables, relations and sparsity, every
+/// coefficient passed through [`Scalar::to_f64`]. `None` when a
+/// coefficient does not fit a finite `f64`.
+fn shadow<S: Scalar>(p: &LpProblem<S>) -> Option<LpProblem<f64>> {
+    let num = |c: &S| Some(c.to_f64()).filter(|x| x.is_finite());
+    let expr = |e: &LinExpr<S>| -> Option<LinExpr<f64>> {
+        e.terms.iter().map(|(v, c)| Some((*v, num(c)?))).collect()
+    };
+    let mut f = LpProblem::new(p.sense());
+    for _ in 0..p.n_vars() {
+        f.add_var(String::new());
+    }
+    f.set_objective(expr(p.objective())?);
+    for c in p.constraints() {
+        f.add_constraint(expr(&c.expr)?, c.rel, num(&c.rhs)?);
+    }
+    Some(f)
+}
+
+/// Shadow-seeded exact solve (see [`solve_warm`]): `None` when the `f64`
+/// shadow is not optimal, or its basis cannot be realized and repaired
+/// in `S` — the caller then solves cold.
+fn try_shadow<S: Scalar>(p: &LpProblem<S>) -> Option<WarmSolve<S>> {
+    let f = shadow(p)?;
+    let (sol, basis) = Tab::build_cold(&f).solve_cold(&f)?;
+    if !sol.is_optimal() {
+        return None;
+    }
+    let out = try_warm(p, &basis?)?;
+    Some(WarmSolve {
+        warm_used: false,
+        ..out
+    })
 }
 
 /// Verifies that an optimal-claiming solution actually satisfies `p`:
@@ -448,9 +509,10 @@ impl<S: Scalar> Tab<S> {
         (r, z)
     }
 
-    /// Primal simplex until optimal (`true`) or unbounded (`false`).
-    /// Dantzig pricing with a Bland fallback after a degeneracy streak.
-    fn run_primal(&mut self, r: &mut [S], z: &mut S) -> bool {
+    /// Primal simplex until optimal (`Some(true)`) or unbounded
+    /// (`Some(false)`); `None` when the pivot cap is hit. Dantzig pricing
+    /// with a Bland fallback after a degeneracy streak.
+    fn run_primal(&mut self, r: &mut [S], z: &mut S) -> Option<bool> {
         let m = self.b.len();
         let max_pivots = MAX_PIVOTS_FACTOR * (m + self.n_total + 1);
         let mut streak = 0usize;
@@ -470,7 +532,7 @@ impl<S: Scalar> Tab<S> {
                 best
             };
             let Some(enter) = enter else {
-                return true; // optimal
+                return Some(true); // optimal
             };
             // Ratio test over the entering column's nonzeros only;
             // smallest-basis-index tie-break (required in Bland mode).
@@ -492,7 +554,7 @@ impl<S: Scalar> Tab<S> {
                 }
             }
             let Some((_, leave)) = best else {
-                return false; // unbounded
+                return Some(false); // unbounded
             };
             // enter was selected with r[enter] strictly negative, so the
             // pivot is degenerate iff the leaving basic variable sits at 0.
@@ -500,8 +562,7 @@ impl<S: Scalar> Tab<S> {
             self.pivot(leave, enter, Some((r, z)), None);
             streak = if degenerate { streak + 1 } else { 0 };
         }
-        // dlflint:allow(hot-path-panic, "pivot-cap backstop: Bland's rule cannot cycle, so this is unreachable outside a solver bug")
-        panic!("sparse simplex exceeded pivot cap — this indicates a bug");
+        None
     }
 
     /// Dual simplex repair: assumes `r ≥ 0` (dual feasible) and drives
@@ -633,29 +694,31 @@ impl<S: Scalar> Tab<S> {
         }
     }
 
-    /// Two-phase cold solve.
-    fn solve_cold(mut self, p: &LpProblem<S>) -> (LpSolution<S>, Option<WarmBasis>) {
+    /// Two-phase cold solve. `None` when a phase hits the pivot cap or
+    /// phase 1 reports unbounded — impossible in exact arithmetic, but
+    /// roundoff can do it to an `f64` shadow.
+    fn solve_cold(mut self, p: &LpProblem<S>) -> Option<(LpSolution<S>, Option<WarmBasis>)> {
         if self.art_start < self.n_total {
             let mut cost = vec![S::zero(); self.n_total];
             for c in cost.iter_mut().skip(self.art_start) {
                 *c = S::one();
             }
             let (mut r, mut z) = self.reduced_costs(&cost);
-            if !self.run_primal(&mut r, &mut z) {
-                unreachable!("phase-1 simplex reported unbounded");
+            if !self.run_primal(&mut r, &mut z)? {
+                return None;
             }
             if z.neg().is_positive_tol() {
-                return (LpSolution::infeasible(p.n_vars()), None);
+                return Some((LpSolution::infeasible(p.n_vars()), None));
             }
             self.purge_artificials();
         }
         let (cost, negate) = self.phase2_cost(p);
         let (mut r, mut z) = self.reduced_costs(&cost);
-        if !self.run_primal(&mut r, &mut z) {
-            return (LpSolution::unbounded(p.n_vars()), None);
+        if !self.run_primal(&mut r, &mut z)? {
+            return Some((LpSolution::unbounded(p.n_vars()), None));
         }
         let basis = self.snapshot_basis(p);
-        (self.extract(p, z, negate), Some(basis))
+        Some((self.extract(p, z, negate), Some(basis)))
     }
 }
 
@@ -752,7 +815,7 @@ fn run_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmRun<S>>
     } else if !primal_feasible {
         return None; // neither primal nor dual feasible — cold solve
     }
-    if !tab.run_primal(&mut r, &mut z) {
+    if !tab.run_primal(&mut r, &mut z)? {
         return Some(WarmRun {
             tab,
             solution: LpSolution::unbounded(p.n_vars()),

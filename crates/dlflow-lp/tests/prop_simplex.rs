@@ -6,7 +6,7 @@
 //! (b) primal feasibility of the returned point,
 //! (c) optimality against brute-force vertex enumeration in 2 variables.
 
-use dlflow_lp::{solve, LinExpr, LpProblem, LpStatus, Rel, Sense};
+use dlflow_lp::{solve, solve_dense, LinExpr, LpProblem, LpSolution, LpStatus, Rel, Sense};
 use dlflow_num::Rat;
 use proptest::prelude::*;
 
@@ -151,5 +151,160 @@ proptest! {
         prop_assert_eq!(sol.status, LpStatus::Optimal);
         let expect = Rat::from_i64(c[0] * b[0] + c[1] * b[1]);
         prop_assert_eq!(sol.objective.unwrap(), expect);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The exact solver seeds its basis from an f64 shadow of the problem.
+// Floats may only pick the starting columns: on LPs whose data differ
+// below f64 resolution the shadow's basis or verdict is wrong, and the
+// exact answer must still equal the dense reference solver's.
+// ---------------------------------------------------------------------
+
+/// `2⁻⁶⁰`: invisible next to 1 in f64 (half an ulp of 1 is `2⁻⁵³`).
+fn eps() -> Rat {
+    Rat::from_i64(2).powi(-60)
+}
+
+fn assert_same_exact(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
+    let got = solve(lp);
+    let want = solve_dense(lp);
+    assert_eq!(got.status, want.status);
+    assert_eq!(got.objective, want.objective);
+    if got.status == LpStatus::Optimal {
+        assert!(lp.check_feasible(&got.values).is_ok());
+    }
+    got
+}
+
+#[test]
+fn shadow_objective_tie_is_broken_exactly() {
+    // max x + (1+ε)·y s.t. x + y ≤ 1. The f64 objective ties and the
+    // shadow keeps x basic; only y = 1 is optimal.
+    let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    let one_eps = Rat::one().add_ref(&eps());
+    lp.set_objective(LinExpr::from_iter([(x, Rat::one()), (y, one_eps.clone())]));
+    lp.add_constraint(
+        LinExpr::from_iter([(x, Rat::one()), (y, Rat::one())]),
+        Rel::Le,
+        Rat::one(),
+    );
+    let sol = assert_same_exact(&lp);
+    assert_eq!(sol.objective, Some(one_eps));
+    assert_eq!(sol.values, vec![Rat::zero(), Rat::one()]);
+}
+
+#[test]
+fn shadow_ratio_tie_is_repaired_exactly() {
+    // max x s.t. x ≤ 1, x ≤ 1−ε. The f64 ratio test ties and the shadow
+    // makes row 0 tight, which leaves row 1's slack at −ε exactly.
+    let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+    let x = lp.add_var("x");
+    let one_m_eps = Rat::one().sub_ref(&eps());
+    lp.set_objective(LinExpr::term(x, Rat::one()));
+    lp.add_constraint(LinExpr::term(x, Rat::one()), Rel::Le, Rat::one());
+    lp.add_constraint(LinExpr::term(x, Rat::one()), Rel::Le, one_m_eps.clone());
+    let sol = assert_same_exact(&lp);
+    assert_eq!(sol.values, vec![one_m_eps]);
+}
+
+#[test]
+fn shadow_basis_neither_primal_nor_dual_feasible_falls_back() {
+    // Both ties at once: the shadow's basis {x} is primal infeasible
+    // (row 1's slack is −ε) and dual infeasible (y prices at −ε).
+    let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    let one_eps = Rat::one().add_ref(&eps());
+    let one_m_eps = Rat::one().sub_ref(&eps());
+    lp.set_objective(LinExpr::from_iter([(x, Rat::one()), (y, one_eps.clone())]));
+    let row = || LinExpr::from_iter([(x, Rat::one()), (y, Rat::one())]);
+    lp.add_constraint(row(), Rel::Le, Rat::one());
+    lp.add_constraint(row(), Rel::Le, one_m_eps.clone());
+    let sol = assert_same_exact(&lp);
+    assert_eq!(sol.objective, Some(one_eps.mul_ref(&one_m_eps)));
+    assert_eq!(sol.values, vec![Rat::zero(), one_m_eps]);
+}
+
+#[test]
+fn exact_infeasible_wins_over_shadow_optimal() {
+    // min x s.t. x ≤ 1, x ≥ 1+ε: feasible in f64, infeasible exactly.
+    let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Minimize);
+    let x = lp.add_var("x");
+    lp.set_objective(LinExpr::term(x, Rat::one()));
+    lp.add_constraint(LinExpr::term(x, Rat::one()), Rel::Le, Rat::one());
+    lp.add_constraint(
+        LinExpr::term(x, Rat::one()),
+        Rel::Ge,
+        Rat::one().add_ref(&eps()),
+    );
+    assert_eq!(assert_same_exact(&lp).status, LpStatus::Infeasible);
+}
+
+#[test]
+fn exact_optimal_wins_over_shadow_infeasible() {
+    // min x s.t. 2⁻⁴⁰·x ≥ 1: the f64 tolerance drops the coefficient and
+    // calls the row infeasible; exactly, x = 2⁴⁰ is optimal.
+    let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Minimize);
+    let x = lp.add_var("x");
+    lp.set_objective(LinExpr::term(x, Rat::one()));
+    lp.add_constraint(
+        LinExpr::term(x, Rat::from_i64(2).powi(-40)),
+        Rel::Ge,
+        Rat::one(),
+    );
+    let sol = assert_same_exact(&lp);
+    assert_eq!(sol.values, vec![Rat::from_i64(2).powi(40)]);
+}
+
+#[test]
+fn exact_unbounded_wins_over_shadow_optimal() {
+    // max ε·x s.t. y ≤ 1: the f64 reduced cost of x is within tolerance
+    // of zero, so the shadow stops at x = 0; exactly, x is unbounded.
+    let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    lp.set_objective(LinExpr::term(x, eps()));
+    lp.add_constraint(LinExpr::term(y, Rat::one()), Rel::Le, Rat::one());
+    assert_eq!(assert_same_exact(&lp).status, LpStatus::Unbounded);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn exact_matches_dense_under_sub_ulp_perturbation(
+        n in 1usize..4,
+        m in 1usize..4,
+        seed_c in proptest::collection::vec((-3i64..=3, -2i64..=2), 3),
+        seed_a in proptest::collection::vec((-2i64..=4, -2i64..=2), 9),
+        seed_b in proptest::collection::vec((0i64..=6, -2i64..=2), 3),
+        rels in proptest::collection::vec(0usize..3, 3),
+    ) {
+        // Every datum is `a + k·ε`: the shadow sees only `a`, so its ties
+        // and verdicts are routinely wrong in exact arithmetic.
+        let val = |(a, k): (i64, i64)| Rat::from_i64(a).add_ref(&Rat::from_i64(k).mul_ref(&eps()));
+        let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+        let xs: Vec<_> = (0..n).map(|i| lp.add_var(format!("x{i}"))).collect();
+        lp.set_objective(LinExpr::from_iter(xs.iter().zip(&seed_c).map(|(&v, &c)| (v, val(c)))));
+        for i in 0..m {
+            let rel = [Rel::Le, Rel::Ge, Rel::Eq][rels[i]];
+            lp.add_constraint(
+                LinExpr::from_iter(xs.iter().enumerate().map(|(j, &v)| (v, val(seed_a[i * 3 + j])))),
+                rel,
+                val(seed_b[i]),
+            );
+        }
+        // Bounding box: every feasible instance is bounded.
+        lp.add_constraint(LinExpr::from_iter(xs.iter().map(|&v| (v, Rat::one()))), Rel::Le, Rat::from_i64(10));
+        let got = solve(&lp);
+        let want = solve_dense(&lp);
+        prop_assert_eq!(got.status, want.status);
+        prop_assert_eq!(got.objective, want.objective);
+        if got.status == LpStatus::Optimal {
+            prop_assert!(lp.check_feasible(&got.values).is_ok());
+        }
     }
 }

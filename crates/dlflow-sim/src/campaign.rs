@@ -575,6 +575,25 @@ pub(crate) fn scenario_seed(base: u64, pi: usize, wi: usize, k: u64) -> u64 {
     )
 }
 
+/// The instance of scenario `(pi, wi, k)`: dyadic and
+/// factorization-preserving, so it is lossless in f64 *and* as exact
+/// rationals, and still uniform-with-restricted-availabilities so the
+/// yardstick's probes run as max-flows.
+fn scenario_instance(
+    cfg: &CampaignConfig,
+    pi: usize,
+    wi: usize,
+    k: u64,
+) -> Result<Instance<f64>, String> {
+    let seed = scenario_seed(cfg.seed_base, pi, wi, k);
+    let model = CostModel::paper_scale();
+    let platform = cfg.platforms[pi].realize(splitmix64(seed ^ 0xA5A5_A5A5));
+    let requests = cfg.workloads[wi].realize(&platform, &model, splitmix64(seed ^ 0x5A5A_5A5A));
+    platform
+        .instance_dyadic(&requests, &model, cfg.sig_bits)
+        .map_err(|e| format!("scenario ({pi},{wi},{k}): {e}"))
+}
+
 /// Runs every scheduler of the config on one scenario.
 fn run_scenario(
     cfg: &CampaignConfig,
@@ -582,16 +601,7 @@ fn run_scenario(
     wi: usize,
     k: u64,
 ) -> Result<Vec<RunRecord>, String> {
-    let seed = scenario_seed(cfg.seed_base, pi, wi, k);
-    let model = CostModel::paper_scale();
-    let platform = cfg.platforms[pi].realize(splitmix64(seed ^ 0xA5A5_A5A5));
-    let requests = cfg.workloads[wi].realize(&platform, &model, splitmix64(seed ^ 0x5A5A_5A5A));
-    // Dyadic, factorization-preserving instance: lossless in f64 *and*
-    // as exact rationals, and still uniform-with-restricted-
-    // availabilities so the yardstick's probes run as max-flows.
-    let base = platform
-        .instance_dyadic(&requests, &model, cfg.sig_bits)
-        .map_err(|e| format!("scenario ({pi},{wi},{k}): {e}"))?;
+    let base = scenario_instance(cfg, pi, wi, k)?;
 
     // Exact yardstick: Theorem 2 on the very same (dyadic) instance.
     let exact = base.to_exact_dyadic().with_stretch_weights();
@@ -907,6 +917,31 @@ mod tests {
         assert_eq!(cfg.n_seeds, 20);
         assert!(cfg.schedulers.len() >= 3);
         assert!(cfg.stretch_weights);
+    }
+
+    #[test]
+    fn quick_scenarios_factorize_and_probe_by_max_flow() {
+        // `instance_dyadic` promises a uniform instance, so the yardstick
+        // must run every probe as a max-flow and never fall back to LP.
+        let cfg = CampaignConfig::quick();
+        for k in 0..cfg.n_seeds {
+            let exact = scenario_instance(&cfg, 0, 0, k)
+                .unwrap()
+                .to_exact_dyadic()
+                .with_stretch_weights();
+            assert!(
+                dlflow_core::uniform::uniform_factors(&exact).is_some(),
+                "scenario {k} does not factorize"
+            );
+            let stats =
+                min_max_weighted_flow_divisible_with(&exact, ProbeMethod::MaxFlowUniform).stats;
+            assert!(stats.n_probes > 0, "scenario {k}");
+            assert_eq!(
+                stats.n_warm_probes + stats.n_cold_probes,
+                0,
+                "scenario {k} fell back to LP probes"
+            );
+        }
     }
 
     #[test]
