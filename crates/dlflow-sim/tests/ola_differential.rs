@@ -1,4 +1,4 @@
-//! PR 10 differential harness: warm-basis OLA against the cold-resolve
+//! Differential harness: warm-basis OLA against the cold-resolve
 //! oracle.
 //!
 //! The warm machinery (persistent `ProbeCache` re-solves, chained basis
@@ -7,7 +7,9 @@
 //! solve, so allocations and completions are required to be
 //! **bit-identical** to [`OfflineAdapt::cold_oracle`] — across seeded
 //! traces, every fault intensity, and snapshot/restore interruption at
-//! every k-th event.
+//! every k-th event. The same holds with the re-solve throttle on
+//! (`min_resolve_interval`), whose cached plan must also survive a
+//! snapshot/restore unchanged.
 //!
 //! Snapshot semantics under test: the warm basis and probe cache are
 //! deliberately **not** serialized by `dlflow-snapshot v1` — they are
@@ -17,57 +19,14 @@
 //! oracle bit for bit; any verdict leaking out of a stale basis would
 //! surface as a diverging completion float.
 
-use dlflow_sim::engine::{Engine, OnlineScheduler, ResolveStats, StepOutcome};
+mod common;
+
+use common::{completions_of, load, run_interrupted, traced};
+use dlflow_sim::engine::{OnlineScheduler, ResolveStats};
+use dlflow_sim::schedulers::offline_adapt::ResolveMode;
 use dlflow_sim::schedulers::{OfflineAdapt, OlaLite};
-use dlflow_sim::workload::{generate_trace, FaultProcess, Trace, TraceSpec};
+use dlflow_sim::workload::Trace;
 use proptest::prelude::*;
-
-/// A small trace at one of three fault intensities: 0 = fault-free,
-/// 1 = moderate (occasional outage), 2 = harsh (machines spend a
-/// comparable share of the horizon down as up).
-fn traced(seed: u64, n: usize, intensity: u8) -> Trace {
-    let (mtbf, mttr) = match intensity {
-        1 => (8.0, 2.0),
-        2 => (3.0, 3.0),
-        _ => (0.0, 0.0),
-    };
-    generate_trace(&TraceSpec {
-        n_requests: n,
-        n_machines: 3,
-        seed,
-        faults: (intensity > 0).then_some(FaultProcess {
-            mtbf,
-            mttr,
-            horizon: 30.0,
-            seed: seed ^ 0x01A0,
-        }),
-        ..Default::default()
-    })
-}
-
-/// Pushes the whole trace (arrivals + platform events) into a fresh
-/// engine.
-fn load(trace: &Trace) -> Engine {
-    let mut eng = Engine::new(trace.n_machines());
-    for e in &trace.platform_events {
-        eng.push_platform_event(*e).unwrap();
-    }
-    for k in 0..trace.len() {
-        eng.push_arrival(trace.job_spec(k)).unwrap();
-    }
-    eng
-}
-
-/// Completions as `(id, completion-bits)`, sorted by id.
-fn completions_of(eng: &mut Engine) -> Vec<(usize, u64)> {
-    let mut out: Vec<(usize, u64)> = eng
-        .take_completed()
-        .into_iter()
-        .map(|c| (c.id, c.completion.to_bits()))
-        .collect();
-    out.sort_unstable();
-    out
-}
 
 /// Uninterrupted run, returning completions and resolve telemetry.
 fn run_straight(trace: &Trace, policy: &mut OfflineAdapt) -> (Vec<(usize, u64)>, ResolveStats) {
@@ -78,28 +37,11 @@ fn run_straight(trace: &Trace, policy: &mut OfflineAdapt) -> (Vec<(usize, u64)>,
     (completions_of(&mut eng), stats)
 }
 
-/// Warm-mode run interrupted by snapshot/restore every `every` events;
-/// each restore targets a brand-new eager-warm policy whose probe cache
-/// and carried basis start empty (the safe-to-drop contract).
-fn run_interrupted_warm(trace: &Trace, every: usize) -> Vec<(usize, u64)> {
-    let mut policy = OfflineAdapt::new();
-    policy.reset();
-    let mut eng = load(trace);
-    let mut guard = 0usize;
-    loop {
-        guard += 1;
-        assert!(guard < 1_000_000, "interrupted run does not terminate");
-        if eng.step(&mut policy).unwrap() == StepOutcome::Idle {
-            break;
-        }
-        if eng.n_events().is_multiple_of(every) {
-            let snap = eng.snapshot(&policy);
-            let mut revived = OfflineAdapt::new();
-            eng = Engine::restore(&snap, &mut revived).unwrap();
-            policy = revived;
-        }
-    }
-    completions_of(&mut eng)
+/// Throttled policy (re-solve at most once per `tau`) in `mode`.
+fn throttled(tau: f64, mode: ResolveMode) -> OfflineAdapt {
+    let mut policy = OfflineAdapt::with_throttle(tau);
+    policy.resolve_mode = mode;
+    policy
 }
 
 proptest! {
@@ -142,7 +84,49 @@ proptest! {
         let trace = traced(seed, n, intensity);
         let (reference, _) =
             run_straight(&trace, &mut OfflineAdapt::cold_oracle());
-        let interrupted = run_interrupted_warm(&trace, every);
+        let (interrupted, _) = run_interrupted(&trace, every, OfflineAdapt::new);
+        prop_assert_eq!(&interrupted, &reference);
+    }
+
+    /// The throttle's plan reuse is verdict-neutral too: a warm
+    /// throttled policy replays the cold throttled oracle bit for bit,
+    /// for a window shorter than most inter-event gaps and one spanning
+    /// many events.
+    #[test]
+    fn throttled_warm_ola_is_bit_identical_to_cold_oracle(
+        seed in 0u64..20_000,
+        n in 4usize..12,
+        intensity in 0u8..3,
+        long in 0u8..2,
+    ) {
+        let tau = if long == 1 { 5.0 } else { 0.5 };
+        let trace = traced(seed, n, intensity);
+        let (cold_done, cold_stats) =
+            run_straight(&trace, &mut throttled(tau, ResolveMode::ColdOracle));
+        let (warm_done, warm_stats) =
+            run_straight(&trace, &mut throttled(tau, ResolveMode::WarmIncremental));
+        prop_assert_eq!(cold_done.len(), n);
+        prop_assert_eq!(&warm_done, &cold_done);
+        prop_assert_eq!(warm_stats.n_resolves, cold_stats.n_resolves);
+        prop_assert_eq!(warm_stats.lp_solves(), cold_stats.lp_solves());
+    }
+
+    /// The throttle's cached plan (`solved_at`, `known`, `alloc`) round-
+    /// trips through the snapshot: a throttled run restored at every
+    /// k-th event matches the uninterrupted one bit for bit.
+    #[test]
+    fn interrupted_throttled_run_matches_uninterrupted(
+        seed in 0u64..20_000,
+        n in 4usize..10,
+        every in 1usize..5,
+        intensity in 0u8..3,
+        long in 0u8..2,
+    ) {
+        let tau = if long == 1 { 5.0 } else { 0.5 };
+        let trace = traced(seed, n, intensity);
+        let (reference, _) = run_straight(&trace, &mut OfflineAdapt::with_throttle(tau));
+        let (interrupted, _) =
+            run_interrupted(&trace, every, || OfflineAdapt::with_throttle(tau));
         prop_assert_eq!(&interrupted, &reference);
     }
 
@@ -191,4 +175,21 @@ fn warm_engagement_is_not_vacuous() {
         warm.mean_lp_solves_per_resolve() > 1.0,
         "resolve cost collapsed: {warm:?}"
     );
+}
+
+/// The throttled differentials above must not pass vacuously either:
+/// both windows actually serve events from the cached plan.
+#[test]
+fn throttle_reuse_is_not_vacuous() {
+    let trace = traced(7, 40, 1);
+    let (_, eager) = run_straight(&trace, &mut OfflineAdapt::new());
+    for tau in [0.5, 5.0] {
+        let (_, lazy) = run_straight(&trace, &mut OfflineAdapt::with_throttle(tau));
+        assert!(
+            lazy.n_resolves < eager.n_resolves,
+            "t={tau}: {} re-solves vs {} eager",
+            lazy.n_resolves,
+            eager.n_resolves
+        );
+    }
 }
