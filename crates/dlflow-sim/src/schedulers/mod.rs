@@ -26,11 +26,23 @@
 //!   walks the previous event's objective into place (factor `α`),
 //!   spending O(1) warm LP probes per event in steady state at the cost
 //!   of an α-factor objective overshoot.
+//!
+//! The two OLA policies differ only in how they search the objective
+//! `F`. Both embed the crate-private `ola_core` re-plan core, which holds
+//! everything else exactly once: the platform mask, the scratch copy of
+//! the active set, recycled LP buffers, the cross-event warm-basis carry,
+//! the persistent probe cache, the warm verdict rule, the
+//! [`ResolveStats`](crate::engine::ResolveStats) counters, and the
+//! re-plan prologue (placeable-subset filter, remaining-work
+//! sub-instance, bracket on `F`) and epilogue (rate extraction, basis
+//! carry, buffer recycling). Each policy supplies its search through a
+//! statically dispatched trait.
 
 pub mod edf;
 pub mod greedy;
 pub mod mct;
 pub mod offline_adapt;
+mod ola_core;
 pub mod ola_lite;
 
 pub use edf::Edf;

@@ -25,30 +25,31 @@
 //! laxer deadline profile than OLA's.
 //!
 //! Probes run the warm path end to end: shape-stable probe LPs
-//! ([`build_deadline_probe_lp`]) served by a persistent [`ProbeCache`]
+//! ([`build_deadline_probe_lp`]) served by the persistent probe cache
 //! (within an event every probe after the first is a pure RHS patch on
-//! the retained tableau), chained across events through the shared
-//! `WarmChain` carry. Warm feasible verdicts are accepted only with
-//! a primal certificate ([`certifies`]) in hand, warm infeasible ones
-//! only from the persistent path with a decisive margin — everything
-//! else is recomputed from scratch. Unlike `OfflineAdapt`, no golden
-//! pins this policy's output, so it needs none of the
-//! bit-compatibility guard stack — the certificate and the margin gate
-//! alone keep the walk sound. The final rate-extracting solve is a
-//! cold filtered solve, falling back to the guaranteed-feasible `hi`
+//! the retained tableau), chained across events through the warm-basis
+//! carry. The cache, the carry, the warm verdict rule (a primal
+//! certificate for feasible, the persistent path plus a decisive margin
+//! for infeasible) and everything else around the search belong to the
+//! OLA family's shared re-plan core (the crate-private `ola_core`
+//! module, also behind [`super::OfflineAdapt`]). This module keeps only
+//! the walk, `alpha`, the anchor `last_f` and its snapshot state.
+//!
+//! Unlike `OfflineAdapt`, the campaign goldens do not cover this policy,
+//! so it needs none of the bit-compatibility guard stack — the
+//! certificate and the margin gate alone keep the walk sound. Its
+//! output is pinned instead by `tests/ola_pins.rs`: completion bit
+//! patterns and resolve counts on seeded traces. A probe with no
+//! trusted warm verdict is recomputed from scratch in the same
+//! shape-stable form. The final rate-extracting solve is a cold
+//! filtered solve, falling back to the guaranteed-feasible serial bound
 //! (and then to an idle plan) if the committed `F` turns out to sit on
 //! a solver tolerance boundary.
 
+use super::ola_core::{self, FSearch, OlaCore, Replan};
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
-use dlflow_core::instance::Instance;
-use dlflow_core::lp_build::{build_deadline_lp, build_deadline_probe_lp};
-use dlflow_lp::{certifies, solve, solve_warm, LpStatus, ProbeCache, WarmBasis};
-use std::mem;
-
-use super::offline_adapt::{
-    bracket, build_sub, fill_deadlines, first_interval_rates, JobCols, SubBuffers, WarmChain,
-    INFEASIBLE_MARGIN_GUARD,
-};
+use dlflow_core::lp_build::{build_deadline_probe_lp, DeadlineLp};
+use dlflow_lp::{solve_warm, LpSolution};
 
 /// Safety cap on geometric walk steps per direction. With the default
 /// `α = 2` this covers a 2⁶⁴ swing of the optimum between two events —
@@ -63,47 +64,18 @@ pub struct OlaLite {
     /// probes but commit a laxer objective: `F` overshoots the optimum
     /// by at most this factor.
     pub alpha: f64,
-    /// Number of full re-solves performed since the last `reset`.
-    pub n_resolves: usize,
-    /// LP solves served by warm-basis reuse since the last `reset`.
-    warm_lp_solves: usize,
-    /// LP solves performed from scratch since the last `reset`.
-    cold_lp_solves: usize,
-    /// Re-plans in which ≥1 probe was served warm / none was.
-    warm_resolves: usize,
-    cold_resolves: usize,
     /// Objective the previous event committed (the walk's anchor).
     last_f: Option<f64>,
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
-    /// Scratch copy of the active set, refreshed per event.
-    scratch: JobCols,
-    /// Recycled job/cost-matrix buffers for the LP sub-instance.
-    sub_recycle: SubBuffers,
-    /// Recycled deadline vector (one slot per selected job).
-    d_buf: Vec<f64>,
-    /// Cross-event warm-basis carry (shared with `OfflineAdapt`).
-    chain: WarmChain,
-    /// Persistent probe factorization for the walk's shape-stable LPs.
-    probe: ProbeCache<f64>,
+    /// The shared OLA re-plan state and telemetry.
+    core: OlaCore,
 }
 
 impl Default for OlaLite {
     fn default() -> Self {
         OlaLite {
             alpha: 2.0,
-            n_resolves: 0,
-            warm_lp_solves: 0,
-            cold_lp_solves: 0,
-            warm_resolves: 0,
-            cold_resolves: 0,
             last_f: None,
-            up: Vec::new(),
-            scratch: JobCols::default(),
-            sub_recycle: (Vec::new(), Vec::new()),
-            d_buf: Vec::new(),
-            chain: WarmChain::default(),
-            probe: ProbeCache::new(),
+            core: OlaCore::default(),
         }
     }
 }
@@ -126,262 +98,50 @@ impl OlaLite {
         }
     }
 
-    /// Whether machine `i` is in service under the current mask.
-    fn live(&self, i: usize) -> bool {
-        self.up.is_empty() || self.up[i]
-    }
-
-    /// Whether job column `k` can run on some live machine.
-    fn placeable(&self, cols: &JobCols, k: usize, n_machines: usize) -> bool {
-        (0..n_machines).any(|i| self.live(i) && cols.cost(i, k).is_some())
+    /// One feasibility probe of the walk at objective `f`: the shared
+    /// warm verdict rule first, then this policy's cold fallback.
+    fn probe(&mut self, ev: &mut Replan<'_>, f: f64) -> bool {
+        ev.set_f(f);
+        if ev.window_empty() {
+            return false; // an empty window needs no LP to refute
+        }
+        let lp = build_deadline_probe_lp(&ev.sub, &ev.d, false);
+        if let Some(v) = self.core.warm_probe(ev, &lp, ev.hi) {
+            return v;
+        }
+        // No trusted warm verdict. Unlike OfflineAdapt there is no
+        // campaign golden to match, so the recomputation can stay in the
+        // cheaper shape-stable form — and its basis doubles as the
+        // cache's seed on a fresh run.
+        self.core.stats.cold_lp_solves += 1;
+        let out = solve_warm(&lp, None);
+        if ev.hint.is_none() {
+            ev.hint = out.basis;
+        }
+        out.solution.is_optimal()
     }
 }
 
-/// One feasibility probe of the walk, served by the persistent
-/// [`ProbeCache`]: a warm feasible verdict needs a primal certificate,
-/// a warm infeasible one the persistent path plus a decisive margin
-/// (`margin_gate`), and everything else is recomputed from scratch.
-/// `pending` (the cross-event basis carry) is consumed by the first
-/// probe of the event; `hint` keeps the remapped basis alive as the
-/// cache's re-seed for the rest of it.
-#[allow(clippy::too_many_arguments)] // a probe really does touch all of the walk's moving parts
-fn walk_probe(
-    sub: &Instance<f64>,
-    d: &[f64],
-    now: f64,
-    margin_gate: f64,
-    pending: &mut Option<(WarmBasis, Vec<Option<usize>>)>,
-    hint: &mut Option<WarmBasis>,
-    probe: &mut ProbeCache<f64>,
-    cache_on_event_shape: &mut bool,
-    warm_lp_solves: &mut usize,
-    cold_lp_solves: &mut usize,
-) -> bool {
-    if d.iter().any(|&dj| dj <= now) {
-        return false; // an empty window needs no LP to refute
-    }
-    let lp = build_deadline_probe_lp(sub, d, false);
-    if let Some((basis, var_map)) = pending.take() {
-        *hint = Some(basis.remap(&lp, &var_map));
-    }
-    let served = probe.solve(&lp, hint.as_ref());
-    *cache_on_event_shape |= served.is_some();
-    let verdict = served.and_then(|out| {
-        if out.solution.is_optimal() {
-            if certifies(&lp, &out.solution) {
-                Some(true)
-            } else {
-                probe.clear();
-                None
-            }
-        } else if out.persistent
-            && out.solution.status == LpStatus::Infeasible
-            && out.infeasible_margin.is_some_and(|m| m > margin_gate)
-        {
-            Some(false)
-        } else {
-            None
-        }
-    });
-    match verdict {
-        Some(v) => {
-            *warm_lp_solves += 1;
-            v
-        }
-        None => {
-            // No trusted warm verdict. Unlike OfflineAdapt there is no
-            // golden to match, so the recomputation can stay in the
-            // cheaper shape-stable form — and its basis doubles as the
-            // cache's seed on a fresh run.
-            *cold_lp_solves += 1;
-            let out = solve_warm(&lp, None);
-            if hint.is_none() {
-                *hint = out.basis;
-            }
-            out.solution.is_optimal()
-        }
-    }
-}
-
-impl OnlineScheduler for OlaLite {
-    fn name(&self) -> String {
-        if self.alpha.total_cmp(&2.0).is_eq() {
-            "OLA-lite".into()
-        } else {
-            format!("OLA-lite(a={})", self.alpha)
-        }
+impl FSearch for OlaLite {
+    fn core(&mut self) -> &mut OlaCore {
+        &mut self.core
     }
 
-    fn reset(&mut self) {
-        self.n_resolves = 0;
-        self.warm_lp_solves = 0;
-        self.cold_lp_solves = 0;
-        self.warm_resolves = 0;
-        self.cold_resolves = 0;
-        self.last_f = None;
-        self.up.clear();
-        self.chain.clear();
-        self.probe.clear();
-    }
-
-    fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
-        // The walk re-anchors from `last_f` at the next `plan` call; an
-        // arrival simply makes the grow direction more likely.
-    }
-
-    fn on_completion(&mut self, _now: f64, _job_id: usize) {
-        // Nothing cached per job; the next walk shrinks `F` if the
-        // departure loosened the optimum.
-    }
-
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
-        // The carried basis was captured on the old platform's cost
-        // pattern; rebuild rather than remap (platform events are rare).
-        // `last_f` survives: it is only a search anchor, and the grow
-        // loop caps at the new platform's `hi` anyway.
-        self.chain.clear();
-        self.probe.clear();
-    }
-
-    fn snapshot_state(&self) -> String {
-        // The warm chain is a pure pivot-order hint and is deliberately
-        // dropped across snapshot/restore (same policy as OfflineAdapt).
-        // `last_f` is a search anchor, not telemetry: restoring it keeps
-        // the first post-restore walk as short as it would have been.
-        let mut s = format!("n_resolves {}\n", self.n_resolves);
-        if let Some(f) = self.last_f {
-            s.push_str(&format!("last_f {:016x}\n", f.to_bits()));
-        }
-        s
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let mut lines = state.lines();
-        let head = lines
-            .next()
-            .ok_or("OLA-lite state: missing n_resolves line")?;
-        self.n_resolves = head
-            .strip_prefix("n_resolves ")
-            .and_then(|v| v.parse().ok())
-            .ok_or("OLA-lite state: bad n_resolves line")?;
-        self.last_f = match lines.next() {
-            None => None,
-            Some(line) => Some(
-                line.strip_prefix("last_f ")
-                    .and_then(|v| u64::from_str_radix(v, 16).ok())
-                    .map(f64::from_bits)
-                    .ok_or("OLA-lite state: bad last_f line")?,
-            ),
-        };
-        self.chain.clear();
-        self.probe.clear();
-        Ok(())
-    }
-
-    fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
-        let n_machines = alloc.n_machines();
-        if active.is_empty() {
-            return;
-        }
-        let mut cols = mem::take(&mut self.scratch);
-        cols.fill(active);
-        let result = self.plan_impl(now, &mut cols, n_machines);
-        self.scratch = cols;
-        for i in 0..n_machines {
-            for (job, share) in result.entries(i) {
-                alloc.set(i, *job, *share);
-            }
-        }
-    }
-
-    fn resolve_stats(&self) -> Option<ResolveStats> {
-        Some(ResolveStats {
-            n_resolves: self.n_resolves,
-            warm_lp_solves: self.warm_lp_solves,
-            cold_lp_solves: self.cold_lp_solves,
-            warm_resolves: self.warm_resolves,
-            cold_resolves: self.cold_resolves,
-        })
-    }
-}
-
-impl OlaLite {
-    /// The solve proper, over the scratch columns (which it may filter
-    /// down to the placeable subset on the degraded path).
-    fn plan_impl(&mut self, now: f64, cols: &mut JobCols, n_machines: usize) -> Allocation {
-        if cols.n() == 0 {
-            return Allocation::idle(n_machines);
-        }
-        if (0..cols.n()).any(|k| !self.placeable(cols, k, n_machines)) {
-            // Same degraded-platform handling as OfflineAdapt: plan the
-            // placeable subset instead of stranding everyone.
-            let up = mem::take(&mut self.up);
-            cols.retain_by(|c, k| {
-                (0..n_machines).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some())
-            });
-            self.up = up;
-            if cols.n() == 0 {
-                return Allocation::idle(n_machines);
-            }
-        }
-
-        let Some(sub) = build_sub(now, cols, &self.up, n_machines, &mut self.sub_recycle) else {
-            // Unreachable after the placeability filter; idle beats panicking.
-            return Allocation::idle(n_machines);
-        };
-
-        let mut pending = self.chain.carry_in(&sub, cols, n_machines);
-        let mut hint: Option<WarmBasis> = None;
-        // Gate for the cross-event basis carry: only a basis the cache
-        // retained on *this* event's LP shape may be paired with this
-        // event's sub-instance (see the same gate in `OfflineAdapt`).
-        let mut cache_on_event_shape = false;
-        let (_lo, hi) = bracket(now, cols, &sub);
-        let margin_gate = INFEASIBLE_MARGIN_GUARD * (1.0 + hi);
-        let warm_before = self.warm_lp_solves;
-
+    fn search(&mut self, ev: &mut Replan<'_>) -> Option<(DeadlineLp<f64>, LpSolution<f64>)> {
+        let hi = ev.hi;
         // Anchor the walk on the previous event's objective; a fresh
         // start (or a nonsensical carry) anchors on the serial bound.
         let mut f = match self.last_f {
             Some(prev) if prev.is_finite() && prev > 0.0 => prev.min(hi),
             _ => hi,
         };
-
-        let mut d = mem::take(&mut self.d_buf);
-        fill_deadlines(&mut d, now, f, cols);
-        let anchored = walk_probe(
-            &sub,
-            &d,
-            now,
-            margin_gate,
-            &mut pending,
-            &mut hint,
-            &mut self.probe,
-            &mut cache_on_event_shape,
-            &mut self.warm_lp_solves,
-            &mut self.cold_lp_solves,
-        );
-        if anchored {
+        if self.probe(ev, f) {
             // Shrink while feasibility holds; `f` tracks the last
             // feasible value. Terminates: a small enough `F` empties
             // some deadline window (or starves the remaining work).
             for _ in 0..MAX_WALK_STEPS {
                 let g = f / self.alpha;
-                fill_deadlines(&mut d, now, g, cols);
-                if walk_probe(
-                    &sub,
-                    &d,
-                    now,
-                    margin_gate,
-                    &mut pending,
-                    &mut hint,
-                    &mut self.probe,
-                    &mut cache_on_event_shape,
-                    &mut self.warm_lp_solves,
-                    &mut self.cold_lp_solves,
-                ) {
+                if self.probe(ev, g) {
                     f = g;
                 } else {
                     break;
@@ -397,19 +157,7 @@ impl OlaLite {
                     break;
                 }
                 f = (f * self.alpha).min(hi);
-                fill_deadlines(&mut d, now, f, cols);
-                if walk_probe(
-                    &sub,
-                    &d,
-                    now,
-                    margin_gate,
-                    &mut pending,
-                    &mut hint,
-                    &mut self.probe,
-                    &mut cache_on_event_shape,
-                    &mut self.warm_lp_solves,
-                    &mut self.cold_lp_solves,
-                ) {
+                if self.probe(ev, f) {
                     found = true;
                     break;
                 }
@@ -422,42 +170,82 @@ impl OlaLite {
         // Commit: cold filtered solve at the walked objective, falling
         // back to the guaranteed-feasible serial bound if the committed
         // `F` sits on a solver tolerance boundary.
-        fill_deadlines(&mut d, now, f, cols);
-        let mut built = build_deadline_lp(&sub, &d, false);
-        let mut sol = solve(&built.lp);
-        self.cold_lp_solves += 1;
-        if !sol.is_optimal() && f < hi {
+        ev.set_f(f);
+        let mut solved = self.core.filtered_solve(ev);
+        if !solved.1.is_optimal() && f < hi {
             f = hi;
-            fill_deadlines(&mut d, now, f, cols);
-            built = build_deadline_lp(&sub, &d, false);
-            sol = solve(&built.lp);
-            self.cold_lp_solves += 1;
+            ev.set_f(f);
+            solved = self.core.filtered_solve(ev);
         }
-        self.n_resolves += 1;
-        if self.warm_lp_solves > warm_before {
-            self.warm_resolves += 1;
-        } else {
-            self.cold_resolves += 1;
-        }
-        self.d_buf = d;
-
-        let committed = sol.is_optimal();
-        let alloc = if committed {
-            first_interval_rates(&built, &sol, &sub, cols, n_machines).0
-        } else {
-            Allocation::idle(n_machines)
-        };
-
-        let carried = if cache_on_event_shape {
-            self.probe.basis()
-        } else {
-            None
-        };
-        if let Some(bufs) = self.chain.carry_out(carried, sub, cols) {
-            self.sub_recycle = bufs;
-        }
+        let committed = solved.1.is_optimal();
         self.last_f = committed.then_some(f);
-        alloc
+        committed.then_some(solved)
+    }
+}
+
+impl OnlineScheduler for OlaLite {
+    fn name(&self) -> String {
+        if self.alpha.total_cmp(&2.0).is_eq() {
+            "OLA-lite".into()
+        } else {
+            format!("OLA-lite(a={})", self.alpha)
+        }
+    }
+
+    fn reset(&mut self) {
+        self.last_f = None;
+        self.core.reset();
+    }
+
+    fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
+        // The walk re-anchors from `last_f` at the next `plan` call; an
+        // arrival simply makes the grow direction more likely.
+    }
+
+    fn on_completion(&mut self, _now: f64, _job_id: usize) {
+        // Nothing cached per job; the next walk shrinks `F` if the
+        // departure loosened the optimum.
+    }
+
+    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
+        // `last_f` survives: it is only a search anchor, and the grow
+        // loop caps at the new platform's `hi` anyway.
+        self.core.on_platform_change(up);
+    }
+
+    fn snapshot_state(&self) -> String {
+        // The warm chain is a pure pivot-order hint and is deliberately
+        // dropped across snapshot/restore (same policy as OfflineAdapt).
+        // `last_f` is a search anchor, not telemetry: restoring it keeps
+        // the first post-restore walk as short as it would have been.
+        let mut s = self.core.snapshot_head();
+        if let Some(f) = self.last_f {
+            s.push_str(&format!("last_f {:016x}\n", f.to_bits()));
+        }
+        s
+    }
+
+    fn restore_state(&mut self, state: &str) -> Result<(), String> {
+        let mut lines = state.lines();
+        self.core.restore_head(lines.next(), "OLA-lite")?;
+        self.last_f = match lines.next() {
+            None => None,
+            Some(line) => Some(
+                line.strip_prefix("last_f ")
+                    .and_then(|v| u64::from_str_radix(v, 16).ok())
+                    .map(f64::from_bits)
+                    .ok_or("OLA-lite state: bad last_f line")?,
+            ),
+        };
+        Ok(())
+    }
+
+    fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
+        ola_core::plan(self, now, active, alloc);
+    }
+
+    fn resolve_stats(&self) -> Option<ResolveStats> {
+        Some(self.core.stats)
     }
 }
 
@@ -466,7 +254,7 @@ mod tests {
     use super::*;
     use crate::engine::{simulate, RunMetrics};
     use crate::schedulers::offline_adapt::OfflineAdapt;
-    use dlflow_core::instance::InstanceBuilder;
+    use dlflow_core::instance::{Instance, InstanceBuilder};
 
     fn two_machine_instance() -> Instance<f64> {
         let mut b = InstanceBuilder::new();
@@ -553,12 +341,12 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_anchor() {
         let mut s = OlaLite::new();
-        s.n_resolves = 7;
+        s.core.stats.n_resolves = 7;
         s.last_f = Some(13.5);
         let snap = s.snapshot_state();
         let mut t = OlaLite::new();
         t.restore_state(&snap).unwrap();
-        assert_eq!(t.n_resolves, 7);
+        assert_eq!(t.resolve_stats().unwrap().n_resolves, 7);
         assert_eq!(t.last_f, Some(13.5));
 
         s.last_f = None;
