@@ -499,14 +499,21 @@ impl OnlineScheduler for OfflineAdapt {
             .and_then(|v| u64::from_str_radix(v, 16).ok())
             .map(f64::from_bits)
             .ok_or("OLA state: bad solved_at line")?;
+        if !solved_at.is_finite() {
+            return Err("OLA state: solved_at must be finite".into());
+        }
         let line = lines.next().ok_or("OLA state: missing known line")?;
         let mut toks = line.split_whitespace();
         if toks.next() != Some("known") {
             return Err("OLA state: bad known line".into());
         }
-        let mut known = Vec::new();
+        let mut known: Vec<usize> = Vec::new();
         for tok in toks {
             known.push(tok.parse().map_err(|_| "OLA state: bad known id")?);
+        }
+        // `reuse` and `on_completion` binary-search this list.
+        if known.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("OLA state: known ids must be strictly increasing".into());
         }
         let line = lines.next().ok_or("OLA state: missing alloc line")?;
         let n: usize = line
@@ -525,7 +532,11 @@ impl OnlineScheduler for OfflineAdapt {
                 let job = job.parse().map_err(|_| "OLA state: bad alloc job")?;
                 let bits =
                     u64::from_str_radix(bits, 16).map_err(|_| "OLA state: bad alloc share")?;
-                alloc.set(i, job, f64::from_bits(bits));
+                let share = f64::from_bits(bits);
+                if !(0.0..=1.0).contains(&share) {
+                    return Err("OLA state: alloc share must lie in [0, 1]".into());
+                }
+                alloc.set(i, job, share);
             }
         }
         self.cache = Some(PlanCache {
@@ -685,6 +696,50 @@ mod tests {
         eng.drain(&mut ola).unwrap();
         assert_eq!(eng.n_completed(), 2);
         assert!(eng.metrics().makespan.is_finite());
+    }
+
+    /// A throttle-cache state with the given `known` line and share bits.
+    fn cache_state(known: &str, share: f64) -> String {
+        format!(
+            "n_resolves 2\nsolved_at {:016x}\nknown {known}\nalloc 2\nrow 1:{:016x}\nrow\n",
+            1.5f64.to_bits(),
+            share.to_bits()
+        )
+    }
+
+    #[test]
+    fn restore_rejects_known_ids_that_are_not_strictly_increasing() {
+        let mut ola = OfflineAdapt::with_throttle(5.0);
+        ola.restore_state(&cache_state("1 4", 0.5)).unwrap();
+        for known in ["4 1", "1 1", "1 4 2"] {
+            let err = ola.restore_state(&cache_state(known, 0.5)).unwrap_err();
+            assert!(err.contains("strictly increasing"), "known {known}: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_shares_outside_the_unit_interval() {
+        let mut ola = OfflineAdapt::with_throttle(5.0);
+        for share in [0.0, 1.0] {
+            ola.restore_state(&cache_state("1", share)).unwrap();
+        }
+        for share in [f64::NAN, f64::INFINITY, 1.5, -0.25] {
+            let err = ola.restore_state(&cache_state("1", share)).unwrap_err();
+            assert!(err.contains("[0, 1]"), "share {share}: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_non_finite_solve_time() {
+        let mut ola = OfflineAdapt::with_throttle(5.0);
+        for t in [f64::NAN, f64::NEG_INFINITY] {
+            let state = cache_state("1", 0.5).replace(
+                &format!("{:016x}", 1.5f64.to_bits()),
+                &format!("{:016x}", t.to_bits()),
+            );
+            let err = ola.restore_state(&state).unwrap_err();
+            assert!(err.contains("solved_at"), "solved_at {t}: {err}");
+        }
     }
 
     #[test]

@@ -189,6 +189,17 @@ fn parse_hex_row(
     Ok(out)
 }
 
+/// Rejects a clock, busy time, release or event time the engine could
+/// never have produced: anything not finite and non-negative (the rule
+/// `push_arrival` and `push_platform_event` apply to their inputs).
+fn non_negative(r: &Reader<'_>, what: &str, v: f64) -> Result<(), SnapshotError> {
+    if v.is_finite() && v >= 0.0 {
+        Ok(())
+    } else {
+        Err(r.bad(format!("{what} must be finite and non-negative, got {v}")))
+    }
+}
+
 impl Engine {
     /// Serializes the engine *and* the policy driving it to the
     /// byte-stable `dlflow-snapshot v1` text format. The engine is not
@@ -323,6 +334,7 @@ impl Engine {
             return Err(r.bad("n_machines must be positive"));
         }
         let now = r.f64_field("now")?;
+        non_negative(&r, "now", now)?;
         let next_id = r.usize_field("next_id")?;
         let n_events = r.usize_field("n_events")?;
         let n_plans = r.usize_field("n_plans")?;
@@ -333,6 +345,9 @@ impl Engine {
 
         let row = r.field("busy")?;
         let busy = parse_hex_row(&r, &mut row.split_whitespace(), n_machines, "busy")?;
+        for &b in &busy {
+            non_negative(&r, "busy", b)?;
+        }
 
         let row = r.field("up")?;
         let mut up = Vec::with_capacity(n_machines);
@@ -401,6 +416,7 @@ impl Engine {
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| r.bad("arrival: bad id"))?;
             let vals = parse_hex_row(&r, &mut toks, 2 + n_machines, "arrival")?;
+            non_negative(&r, "arrival: release", vals[0])?;
             engine.restore_pending(id, vals[0], vals[1], &vals[2..]);
         }
 
@@ -413,6 +429,13 @@ impl Engine {
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| r.bad("job: bad id"))?;
             let vals = parse_hex_row(&r, &mut toks, 3 + n_machines, "job")?;
+            if !(vals[0] > 0.0 && vals[0] <= 1.0) {
+                return Err(r.bad(format!(
+                    "job: remaining must lie in (0, 1], got {}",
+                    vals[0]
+                )));
+            }
+            non_negative(&r, "job: release", vals[1])?;
             let volatile = if faulty {
                 let row = r.field("volatile")?;
                 Some(parse_hex_row(
@@ -442,6 +465,7 @@ impl Engine {
                 .next()
                 .and_then(parse_hex)
                 .ok_or_else(|| r.bad("event: bad time"))?;
+            non_negative(&r, "event: time", time)?;
             let seq: usize = toks
                 .next()
                 .and_then(|v| v.parse().ok())
@@ -538,6 +562,89 @@ mod tests {
             weight,
             costs: costs.to_vec(),
         }
+    }
+
+    /// A mid-run snapshot (fault mode on) holding a pending arrival, an
+    /// active job and a queued platform event.
+    fn mid_run_snapshot() -> String {
+        let mut eng = Engine::new(2);
+        let mut pol = Mct::new();
+        eng.push_platform_event(PlatformEvent {
+            time: 50.0,
+            machine: 1,
+            change: PlatformChange::Down,
+        })
+        .unwrap();
+        eng.push_arrival(spec(0.0, 1.0, &[2.0, 3.0])).unwrap();
+        eng.push_arrival(spec(40.0, 1.0, &[4.0, 6.0])).unwrap();
+        eng.step(&mut pol).unwrap();
+        eng.snapshot(&pol)
+    }
+
+    /// `snap` with tokens `ks` of its first `key` line (token 0 is the
+    /// key) replaced by `v`'s bit pattern, plus that line's number.
+    fn patched(snap: &str, key: &str, ks: &[usize], v: f64) -> (String, usize) {
+        let mut at = 0;
+        let mut out = String::new();
+        for (n, line) in snap.lines().enumerate() {
+            let mut toks: Vec<String> = line.split(' ').map(String::from).collect();
+            if at == 0 && toks[0] == key {
+                for &k in ks {
+                    toks[k] = hex(v);
+                }
+                at = n + 1;
+            }
+            out.push_str(&toks.join(" "));
+            out.push('\n');
+        }
+        assert!(at > 0, "no `{key}` line in {snap}");
+        (out, at)
+    }
+
+    /// Restoring `snap` with `v` written into tokens `ks` of its `key`
+    /// line fails as `Malformed` at exactly that line.
+    fn assert_rejected(key: &str, ks: &[usize], v: f64) {
+        let snap = mid_run_snapshot();
+        Engine::restore(&snap, &mut Mct::new()).expect("the unpatched snapshot restores");
+        let (bad, at) = patched(&snap, key, ks, v);
+        match Engine::restore(&bad, &mut Mct::new()) {
+            Err(SnapshotError::Malformed { line, .. }) => assert_eq!(line, at, "{key} = {v}"),
+            other => panic!("{key} = {v}: want Malformed at line {at}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_clock_that_is_not_finite_and_non_negative() {
+        for v in [f64::NAN, f64::INFINITY, -1.0] {
+            assert_rejected("now", &[1], v);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_busy_times_that_are_not_finite_and_non_negative() {
+        assert_rejected("busy", &[1, 2], -5.0);
+        assert_rejected("busy", &[2], f64::NAN);
+        assert_rejected("busy", &[1], f64::INFINITY);
+    }
+
+    #[test]
+    fn restore_rejects_remaining_work_outside_the_unit_interval() {
+        for v in [2.0, -0.5, 0.0, f64::NAN] {
+            assert_rejected("job", &[2], v);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_release_times_that_are_not_finite() {
+        assert_rejected("arrival", &[2], f64::NAN);
+        assert_rejected("arrival", &[2], f64::INFINITY);
+        assert_rejected("job", &[3], f64::NAN);
+    }
+
+    #[test]
+    fn restore_rejects_platform_event_times_that_are_not_finite() {
+        assert_rejected("event", &[1], f64::NAN);
+        assert_rejected("event", &[1], f64::INFINITY);
     }
 
     #[test]
