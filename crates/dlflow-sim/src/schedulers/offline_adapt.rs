@@ -58,11 +58,11 @@
 //! legacy computation everywhere else:
 //!
 //! * a warm *feasible* verdict is accepted only with a **primal
-//!   certificate** in hand ([`certifies`](dlflow_lp::certifies)): a certified feasible point
-//!   is true regardless of the pivot path, while an uncertified warm
-//!   optimum is recomputed cold — an ill-conditioned basis
-//!   re-realization can otherwise corrupt the tableau into claiming
-//!   either verdict;
+//!   certificate** in hand ([`certifies`](dlflow_lp::certifies)): a
+//!   certified feasible point is true regardless of the pivot path,
+//!   while an uncertified warm optimum is recomputed cold — an
+//!   ill-conditioned basis re-realization can otherwise corrupt the
+//!   tableau into claiming either verdict;
 //! * a warm *infeasible* verdict is accepted only when it comes from
 //!   the persistent RHS-patch path (exact algebra on a tableau that was
 //!   realized once and never re-pivoted from scratch, so no

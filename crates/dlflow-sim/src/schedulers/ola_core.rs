@@ -53,10 +53,10 @@ pub(crate) struct JobCols {
     pub(crate) n_machines: usize,
     pub(crate) ids: Vec<usize>,
     pub(crate) remaining: Vec<f64>,
-    pub(crate) release: Vec<f64>,
-    pub(crate) weight: Vec<f64>,
+    release: Vec<f64>,
+    weight: Vec<f64>,
     /// Job-major raw cost rows (`f64::INFINITY` = unavailable).
-    pub(crate) costs: Vec<f64>,
+    costs: Vec<f64>,
 }
 
 impl JobCols {
