@@ -37,13 +37,12 @@
 //!   variants so every warm iteration is a genuine patch + dual
 //!   repair). The asserted floor is a ≥ 3× warm-over-cold speedup; the
 //!   local headline is ~10×.
-//! * **End-to-end replay.** Eager-warm OLA (`throttle = 0`) vs the
-//!   cold-resolve oracle vs `OLA-lite` on a 1k-arrival trace, with the
-//!   event-level resolve telemetry ([`ResolveStats`]) recorded. The
-//!   end-to-end gate is conservative (warm must not *pessimize* the
-//!   replay) because the guard stack pins the tolerance-band tail of
-//!   every bisection to the cold path by design — the per-event ratio
-//!   is structurally capped well below the per-probe one.
+//! * **End-to-end replay.** Eager OLA (`throttle = 0`, Theorem 2's
+//!   milestone search, every LP cold) and `OLA-lite` (the warm α-walk)
+//!   on a 1k-arrival trace, with the event-level resolve telemetry
+//!   ([`ResolveStats`]) recorded. The gates are deterministic counts:
+//!   eager OLA's mean LP solves per re-plan stays ≤ 5, and OLA-lite,
+//!   the only user of the warm path, serves most re-plans warm.
 //!
 //! Usage: `cargo run --release -p dlflow-bench --bin bench-report`
 
@@ -417,8 +416,8 @@ fn main() {
     push("ola/warm_probe_resolve", warm_probe_ns);
     println!("  warm vs cold per-probe resolve: {warm_probe_speedup:.2}x");
 
-    // End-to-end replay: eager-warm OLA vs the cold oracle vs OLA-lite
-    // on a 1k-arrival trace, interleaved rounds, best ns/event each.
+    // End-to-end replay: eager OLA vs OLA-lite on a 1k-arrival trace,
+    // interleaved rounds, best ns/event each.
     let ola_trace = generate_trace(&TraceSpec {
         n_requests: 1_000,
         seed: 7,
@@ -432,39 +431,36 @@ fn main() {
         (ns, policy.resolve_stats().unwrap_or_default())
     }
     let mut eager = OfflineAdapt::new();
-    let mut oracle = OfflineAdapt::cold_oracle();
     let mut lite = OlaLite::new();
-    let (mut eager_ns, mut oracle_ns, mut lite_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut eager_stats = ResolveStats::default();
+    let (mut eager_ns, mut lite_ns) = (f64::INFINITY, f64::INFINITY);
+    let (mut eager_stats, mut lite_stats) = (ResolveStats::default(), ResolveStats::default());
     for _ in 0..2 {
         let (ns, rs) = ola_round(&ola_trace, &mut eager);
-        if ns < eager_ns {
-            eager_ns = ns;
-            eager_stats = rs;
-        }
-        oracle_ns = oracle_ns.min(ola_round(&ola_trace, &mut oracle).0);
-        lite_ns = lite_ns.min(ola_round(&ola_trace, &mut lite).0);
+        eager_ns = eager_ns.min(ns);
+        eager_stats = rs;
+        let (ns, rs) = ola_round(&ola_trace, &mut lite);
+        lite_ns = lite_ns.min(ns);
+        lite_stats = rs;
     }
-    let ola_end_to_end_ratio = oracle_ns / eager_ns;
-    let lite_ratio = oracle_ns / lite_ns;
+    let lite_vs_ola = eager_ns / lite_ns;
     push("sim/ola_eager_replay_1k", eager_ns);
-    push("sim/ola_cold_oracle_replay_1k", oracle_ns);
     push("sim/olalite_replay_1k", lite_ns);
     println!(
-        "  OLA eager vs cold oracle end-to-end: {ola_end_to_end_ratio:.2}x \
-         ({:.2}M events/s eager); OLA-lite vs cold OLA: {lite_ratio:.2}x",
+        "  OLA eager: {:.2}M events/s; OLA-lite vs OLA: {lite_vs_ola:.2}x (recorded, not gated)",
         1e3 / eager_ns
     );
-    println!(
-        "  OLA eager telemetry: {} re-solves ({} warm-served + {} cold), \
-         {} warm + {} cold LP solves, {:.2} mean LP/resolve",
-        eager_stats.n_resolves,
-        eager_stats.warm_resolves,
-        eager_stats.cold_resolves,
-        eager_stats.warm_lp_solves,
-        eager_stats.cold_lp_solves,
-        eager_stats.mean_lp_solves_per_resolve()
-    );
+    for (name, rs) in [("OLA eager", &eager_stats), ("OLA-lite", &lite_stats)] {
+        println!(
+            "  {name} telemetry: {} re-solves ({} warm-served + {} cold), \
+             {} warm + {} cold LP solves, {:.2} mean LP/resolve",
+            rs.n_resolves,
+            rs.warm_resolves,
+            rs.cold_resolves,
+            rs.warm_lp_solves,
+            rs.cold_lp_solves,
+            rs.mean_lp_solves_per_resolve()
+        );
+    }
 
     // --- JSON emission (no serde in the offline dependency set). ---
     let mut json = String::from("{\n  \"pr\": 10,\n  \"mode\": \"quick\",\n");
@@ -515,31 +511,37 @@ fn main() {
          \"sharded_m32_k32_100k_events\": {shard_events},\n    \
          \"warm_engine_second_wave_1k_jobs\": {warm_wave_allocs}\n  }},\n"
     ));
+    let stats_json = |rs: &ResolveStats| {
+        format!(
+            "{{\n      \
+             \"n_resolves\": {},\n      \
+             \"warm_resolves\": {},\n      \
+             \"cold_resolves\": {},\n      \
+             \"warm_lp_solves\": {},\n      \
+             \"cold_lp_solves\": {},\n      \
+             \"mean_lp_solves_per_resolve\": {:.2}\n    }}",
+            rs.n_resolves,
+            rs.warm_resolves,
+            rs.cold_resolves,
+            rs.warm_lp_solves,
+            rs.cold_lp_solves,
+            rs.mean_lp_solves_per_resolve()
+        )
+    };
     json.push_str(&format!(
         "  \"ola_resolve\": {{\n    \
          \"cold_probe_ns\": {cold_probe_ns:.1},\n    \
          \"warm_probe_ns\": {warm_probe_ns:.1},\n    \
          \"warm_probe_speedup\": {warm_probe_speedup:.2},\n    \
          \"ola_eager_best_ns_per_event\": {eager_ns:.1},\n    \
-         \"ola_cold_oracle_best_ns_per_event\": {oracle_ns:.1},\n    \
-         \"ola_end_to_end_ratio\": {ola_end_to_end_ratio:.2},\n    \
          \"ola_eager_events_per_sec\": {:.0},\n    \
          \"olalite_best_ns_per_event\": {lite_ns:.1},\n    \
-         \"olalite_ratio_vs_cold_ola\": {lite_ratio:.2},\n    \
-         \"eager_resolve_stats\": {{\n      \
-         \"n_resolves\": {},\n      \
-         \"warm_resolves\": {},\n      \
-         \"cold_resolves\": {},\n      \
-         \"warm_lp_solves\": {},\n      \
-         \"cold_lp_solves\": {},\n      \
-         \"mean_lp_solves_per_resolve\": {:.2}\n    }}\n  }},\n",
+         \"olalite_ratio_vs_ola\": {lite_vs_ola:.2},\n    \
+         \"eager_resolve_stats\": {},\n    \
+         \"olalite_resolve_stats\": {}\n  }},\n",
         1e9 / eager_ns,
-        eager_stats.n_resolves,
-        eager_stats.warm_resolves,
-        eager_stats.cold_resolves,
-        eager_stats.warm_lp_solves,
-        eager_stats.cold_lp_solves,
-        eager_stats.mean_lp_solves_per_resolve()
+        stats_json(&eager_stats),
+        stats_json(&lite_stats)
     ));
     json.push_str("  \"median_ns\": {\n");
     for (i, (name, ns)) in entries.iter().enumerate() {
@@ -599,27 +601,22 @@ fn main() {
         "warm engine steady state is no longer allocation-free: {warm_wave_allocs}"
     );
 
-    // PR-10 floors. The per-probe persistent resolve must clearly beat
-    // a from-scratch solve (local headline ~10×, floor 3× for noisy
-    // runners). End-to-end, warm OLA must at minimum not pessimize the
-    // replay (the guard stack pins every bisection's tolerance-band
-    // tail cold, so the per-event ratio is structurally modest), its
-    // warm machinery must dominate events, and OLA-lite must deliver a
-    // clear race win over the full cold bisection.
+    // OLA floors. The per-probe persistent resolve must clearly beat a
+    // from-scratch solve (local headline ~10×, floor 3× for noisy
+    // runners) and OLA-lite, its one user, must serve most re-plans
+    // warm. Eager OLA's cost is a deterministic count: Theorem 2's
+    // milestone search needs about 2–3 LP solves per re-plan (the
+    // retired bisection needed 41).
     assert!(
         warm_probe_speedup >= 3.0,
         "persistent warm probe resolve no longer clearly beats cold: {warm_probe_speedup:.2}x"
     );
     assert!(
-        ola_end_to_end_ratio >= 0.9,
-        "warm-basis OLA pessimizes end-to-end replay: {ola_end_to_end_ratio:.2}x"
+        eager_stats.mean_lp_solves_per_resolve() <= 5.0,
+        "eager OLA's milestone search costs too many LP solves per re-plan: {eager_stats:?}"
     );
     assert!(
-        eager_stats.warm_resolves > eager_stats.cold_resolves,
-        "eager-warm OLA no longer serves most events warm: {eager_stats:?}"
-    );
-    assert!(
-        lite_ratio >= 2.0,
-        "OLA-lite race win over cold OLA collapsed: {lite_ratio:.2}x"
+        lite_stats.warm_resolves > lite_stats.cold_resolves,
+        "OLA-lite no longer serves most re-plans warm: {lite_stats:?}"
     );
 }

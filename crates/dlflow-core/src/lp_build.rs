@@ -124,8 +124,8 @@ pub struct DeadlineLp<S> {
 /// this is the concrete-`F` version of System (5) used as the feasibility
 /// probe for the *preemptive* (non-divisible) variant of the problem.
 ///
-/// This builder sits on OLA's per-event hot path (one call per guarded
-/// bisection probe plus the final rate solve), so variables and
+/// This builder sits on OLA's per-event hot path (one call per
+/// milestone probe plus the final rate solve), so variables and
 /// constraints are anonymous — names and labels are display-only and the
 /// `format!` calls used to dominate the build at production sub-problem
 /// sizes — and row expressions are bucketed in the variable-creation pass
@@ -391,30 +391,48 @@ pub struct RangeLp<S> {
 /// Builds System (3) (divisible) or System (5) (`preemptive = true`) on
 /// the objective range `[f_lo, f_hi]` (`f_hi = None` → unbounded above).
 ///
+/// Job `j`'s deadline is `origins[j] + F/w_j`: Theorem 2 passes the
+/// releases; an online re-plan passes the original releases of jobs
+/// whose remaining work is all released at `now`.
+///
 /// `reference` must be a point interior to the milestone range so that
 /// the relative order of releases and deadlines is the one valid across
 /// the whole range.
+///
+/// Like [`build_deadline_lp`], this builder runs at every OLA re-plan,
+/// so variables and constraints are anonymous and row expressions are
+/// bucketed in the variable-creation pass; the emitted LP has the same
+/// terms in the same order as a per-row rescan would give.
 pub fn build_range_lp<S: Scalar>(
     inst: &Instance<S>,
+    origins: &[S],
     f_lo: &S,
     f_hi: Option<&S>,
     reference: &S,
     preemptive: bool,
 ) -> RangeLp<S> {
-    // Breakpoints: releases (constants) and deadlines r_j + F/w_j.
-    let mut points: Vec<AffineF<S>> = Vec::with_capacity(2 * inst.n_jobs());
-    for job in inst.jobs() {
+    assert_eq!(origins.len(), inst.n_jobs());
+    let (m, n) = (inst.n_machines(), inst.n_jobs());
+    // Breakpoints: releases (constants) and deadlines origin_j + F/w_j.
+    let mut points: Vec<AffineF<S>> = Vec::with_capacity(2 * n);
+    for (job, origin) in inst.jobs().iter().zip(origins) {
         points.push(AffineF::constant(job.release.clone()));
         points.push(AffineF {
-            a: job.release.clone(),
+            a: origin.clone(),
             b: job.weight.recip(),
         });
     }
     let intervals = SymbolicIntervals::from_points(points, reference.clone());
     let n_int = intervals.n_intervals();
+    let deadline_ref: Vec<S> = inst
+        .jobs()
+        .iter()
+        .zip(origins)
+        .map(|(job, origin)| origin.add(&reference.div(&job.weight)))
+        .collect();
 
     let mut lp: LpProblem<S> = LpProblem::new(Sense::Minimize);
-    let f_var = lp.add_var("F");
+    let f_var = lp.add_var("");
     lp.objective_term(f_var, S::one());
 
     // (3a): F within the milestone range.
@@ -429,83 +447,54 @@ pub fn build_range_lp<S: Scalar>(
     // Order is constant on the range, so comparisons at the reference
     // point decide them for the whole range.
     let mut alpha: Vec<AlphaVar> = Vec::new();
+    let mut cap_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n_int * m];
+    let mut jobcap_expr: Vec<LinExpr<S>> = if preemptive {
+        vec![LinExpr::new(); n_int * n]
+    } else {
+        Vec::new()
+    };
+    let mut done_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n];
     for t in 0..n_int {
         let inf_ref = intervals.inf(t).eval(reference);
         let sup_ref = intervals.sup(t).eval(reference);
-        for i in 0..inst.n_machines() {
-            for j in 0..inst.n_jobs() {
-                if !inst.cost(i, j).is_finite() {
-                    continue;
-                }
+        for i in 0..m {
+            for j in 0..n {
+                let Some(c) = inst.cost(i, j).finite() else {
+                    continue; // availability
+                };
                 if !inst.job(j).release.le_tol(&inf_ref) {
                     continue; // (3b)
                 }
-                let dl_ref = inst.deadline(j, reference);
-                if !dl_ref.ge_tol(&sup_ref) {
+                if !deadline_ref[j].ge_tol(&sup_ref) {
                     continue; // (3c)
                 }
-                let v = lp.add_var(format!("a[{t}][{i}][{j}]"));
+                let v = lp.add_var("");
                 alpha.push((t, i, j, v));
+                cap_expr[t * m + i].push(v, c.clone());
+                if preemptive {
+                    jobcap_expr[t * n + j].push(v, c.clone());
+                }
+                done_expr[j].push(v, S::one());
             }
         }
     }
 
-    // (3d): machine capacity — Σ α·c − len_b·F ≤ len_a.
-    for t in 0..n_int {
-        let len = intervals.len(t);
-        for i in 0..inst.n_machines() {
-            let mut expr = LinExpr::new();
-            for (tt, ii, j, v) in &alpha {
-                if *tt == t && *ii == i {
-                    expr.push(*v, inst.cost(i, *j).finite().unwrap().clone()); // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
-                }
-            }
+    // (3d): machine capacity — Σ α·c − len_b·F ≤ len_a; then (5b): the
+    // per-job wall-clock bound per interval, in the same form.
+    let per_interval = [(cap_expr, m), (jobcap_expr, n)];
+    for (rows, width) in per_interval {
+        for (k, mut expr) in rows.into_iter().enumerate() {
             if !expr.is_empty() {
+                let len = intervals.len(k / width);
                 expr.push(f_var, len.b.neg());
-                lp.add_constraint_labelled(
-                    format!("cap[t{t}][m{i}]"),
-                    expr,
-                    Rel::Le,
-                    len.a.clone(),
-                );
-            }
-        }
-    }
-
-    // (5b): per-job wall-clock bound per interval.
-    if preemptive {
-        for t in 0..n_int {
-            let len = intervals.len(t);
-            for j in 0..inst.n_jobs() {
-                let mut expr = LinExpr::new();
-                for (tt, i, jj, v) in &alpha {
-                    if *tt == t && *jj == j {
-                        // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
-                        expr.push(*v, inst.cost(*i, j).finite().unwrap().clone());
-                    }
-                }
-                if !expr.is_empty() {
-                    expr.push(f_var, len.b.neg());
-                    lp.add_constraint_labelled(
-                        format!("jobcap[t{t}][j{j}]"),
-                        expr,
-                        Rel::Le,
-                        len.a.clone(),
-                    );
-                }
+                lp.add_constraint(expr, Rel::Le, len.a);
             }
         }
     }
 
     // (3e): completion.
-    for j in 0..inst.n_jobs() {
-        let mut expr = LinExpr::new();
-        for (_, _, jj, v) in &alpha {
-            if *jj == j {
-                expr.push(*v, S::one());
-            }
-        }
-        lp.add_constraint_labelled(format!("done[j{j}]"), expr, Rel::Eq, S::one());
+    for expr in done_expr {
+        lp.add_constraint(expr, Rel::Eq, S::one());
     }
 
     RangeLp {
@@ -717,6 +706,24 @@ mod tests {
     }
 
     #[test]
+    fn range_lp_measures_deadlines_from_origins() {
+        // Remaining work released at 5 on one machine, deadlines 0 + F
+        // and 3 + F/2 (they cross at F = 6). Serving job 1 first gives
+        // max(7, 2·(6 − 3)) = 7; job 0 first gives max(6, 2·(7 − 3)) = 8.
+        let mut b = InstanceBuilder::<Rat>::new();
+        b.job(Rat::from_i64(5), Rat::one());
+        b.job(Rat::from_i64(5), Rat::from_i64(2));
+        b.machine(vec![Some(Rat::one()), Some(Rat::one())]);
+        let inst = b.build().unwrap();
+        let origins = [Rat::zero(), Rat::from_i64(3)];
+        let six = Rat::from_i64(6);
+        let r = build_range_lp(&inst, &origins, &six, None, &Rat::from_i64(7), false);
+        let sol = solve(&r.lp);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_eq!(sol.objective.unwrap(), Rat::from_i64(7));
+    }
+
+    #[test]
     fn range_lp_minimizes_f_exactly() {
         // One machine, one job (r=0, w=1, c=4): optimum F* = 4.
         let mut b = InstanceBuilder::<Rat>::new();
@@ -724,7 +731,14 @@ mod tests {
         b.machine(vec![Some(Rat::from_i64(4))]);
         let inst = b.build().unwrap();
         // No milestones (single job): range (0, ∞), reference 1.
-        let r = build_range_lp(&inst, &Rat::zero(), None, &Rat::one(), false);
+        let r = build_range_lp(
+            &inst,
+            &[Rat::zero()],
+            &Rat::zero(),
+            None,
+            &Rat::one(),
+            false,
+        );
         let sol = solve(&r.lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.objective.unwrap(), Rat::from_i64(4));

@@ -17,7 +17,7 @@
 use crate::decompose::decompose_interval;
 use crate::instance::Instance;
 use crate::lp_build::{build_deadline_lp, build_range_lp};
-use crate::milestones::milestones;
+use crate::milestones::milestones_above;
 use crate::schedule::{Schedule, ScheduleKind, Slice};
 use dlflow_lp::{solve, solve_warm, WarmBasis};
 use dlflow_num::Scalar;
@@ -102,46 +102,64 @@ pub fn feasible_at<S: Scalar>(inst: &Instance<S>, f: &S, preemptive: bool) -> bo
     solve(&build_deadline_lp(inst, &deadlines, preemptive).lp).is_optimal()
 }
 
-/// Locates the milestone range `[f_lo, f_hi]` containing the optimum,
-/// probing feasibility with `probe` (monotone in `F`), and returns
-/// `(f_lo, f_hi, reference, probes)`; `f_hi = None` means the unbounded
-/// final range.
-fn locate_range<S: Scalar>(
+/// Locates the milestone range `[f_lo, f_hi]` that holds the optimum
+/// of a search over the objective bracket `(lo, hi)` (`hi = None`: no
+/// upper bound), probing feasibility with `probe` (monotone in `F`).
+/// `ms` holds the bracket's milestones, sorted ascending, all strictly
+/// inside it. Returns `(f_lo, f_hi, reference, probes)`: `f_hi = None`
+/// means the unbounded final range, and `reference` is a point interior
+/// to the range, where the epochal order is the range's own.
+///
+/// Theorem 2 searches `(0, ∞)`. An online re-plan searches
+/// `(flow already incurred, a serial upper bound)`.
+pub fn locate_range<S: Scalar>(
     ms: &[S],
+    lo: &S,
+    hi: Option<&S>,
     mut probe: impl FnMut(&S) -> bool,
 ) -> (S, Option<S>, S, usize) {
-    let mut probes = 0usize;
-    if ms.is_empty() {
-        // No milestones: the epochal order is constant on all of (0, ∞).
-        return (S::zero(), None, S::one(), probes);
+    let interior = |from: &S| match hi {
+        Some(h) => from.midpoint_like(h),
+        None => from.add(&S::one()),
+    };
+    let (Some(first), Some(last)) = (ms.first(), ms.last()) else {
+        // No milestones: the epochal order is constant on all of (lo, hi).
+        return (lo.clone(), hi.cloned(), interior(lo), 0);
+    };
+    let mut probes = 1usize;
+    if probe(first) {
+        // Optimum in (lo, ms[0]].
+        return (
+            lo.clone(),
+            Some(first.clone()),
+            lo.midpoint_like(first),
+            probes,
+        );
     }
     probes += 1;
-    if probe(&ms[0]) {
-        // Optimum in (0, ms[0]].
-        let reference = ms[0].div(&S::from_i64(2));
-        return (S::zero(), Some(ms[0].clone()), reference, probes);
-    }
-    probes += 1;
-    if !probe(ms.last().unwrap()) {
+    if !probe(last) {
         // Optimum beyond every milestone.
-        let lo = ms.last().unwrap().clone();
-        let reference = lo.add(&S::one());
-        return (lo, None, reference, probes);
+        return (last.clone(), hi.cloned(), interior(last), probes);
     }
-    // Invariant: infeasible at ms[lo], feasible at ms[hi].
-    let mut lo = 0usize;
-    let mut hi = ms.len() - 1;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
+    // Invariant: infeasible at ms[below], feasible at ms[above].
+    let mut below = 0usize;
+    let mut above = ms.len() - 1;
+    while above - below > 1 {
+        let mid = below + (above - below) / 2;
         probes += 1;
         if probe(&ms[mid]) {
-            hi = mid;
+            above = mid;
         } else {
-            lo = mid;
+            below = mid;
         }
     }
-    let reference = ms[lo].midpoint_like(&ms[hi]);
-    (ms[lo].clone(), Some(ms[hi].clone()), reference, probes)
+    let reference = ms[below].midpoint_like(&ms[above]);
+    (
+        ms[below].clone(),
+        Some(ms[above].clone()),
+        reference,
+        probes,
+    )
 }
 
 /// Small helper: `(a + b) / 2` through the `Scalar` trait.
@@ -185,7 +203,11 @@ fn solve_min_flow_with<S: Scalar>(
     preemptive: bool,
     probe_method: ProbeMethod,
 ) -> RangeSolution<S> {
-    let ms = milestones(inst);
+    // Theorem 2 measures every deadline from the job's own release and
+    // searches all of (0, ∞).
+    let releases: Vec<S> = inst.jobs().iter().map(|j| j.release.clone()).collect();
+    let mut ms = Vec::new();
+    milestones_above(inst, &releases, &S::zero(), &mut ms);
     let factors = match probe_method {
         ProbeMethod::MaxFlowUniform if !preemptive => crate::uniform::uniform_factors(inst),
         _ => None,
@@ -194,18 +216,26 @@ fn solve_min_flow_with<S: Scalar>(
         Some(fac) => {
             // Closed-form max-flow probes: no simplex runs, so neither LP
             // counter moves.
-            let (lo, hi, rf, p) =
-                locate_range(&ms, |f| crate::uniform::feasible_at_uniform(inst, f, fac));
+            let (lo, hi, rf, p) = locate_range(&ms, &S::zero(), None, |f| {
+                crate::uniform::feasible_at_uniform(inst, f, fac)
+            });
             (lo, hi, rf, p, 0, 0)
         }
         None => {
             let mut prober = LpProber::new(inst, preemptive);
-            let (lo, hi, rf, p) = locate_range(&ms, |f| prober.probe(f));
+            let (lo, hi, rf, p) = locate_range(&ms, &S::zero(), None, |f| prober.probe(f));
             debug_assert_eq!(prober.n_warm + prober.n_cold, p);
             (lo, hi, rf, p, prober.n_warm, prober.n_cold)
         }
     };
-    let built = build_range_lp(inst, &f_lo, f_hi.as_ref(), &reference, preemptive);
+    let built = build_range_lp(
+        inst,
+        &releases,
+        &f_lo,
+        f_hi.as_ref(),
+        &reference,
+        preemptive,
+    );
     let sol = solve(&built.lp);
     assert!(
         sol.is_optimal(),
@@ -559,6 +589,36 @@ mod tests {
             "probes after the first feasible one must warm-start: {st:?}"
         );
         assert!(st.n_cold_probes < st.n_probes, "{st:?}");
+    }
+
+    #[test]
+    fn locate_range_respects_a_bounded_bracket() {
+        let ms = [2.0, 4.0, 6.0];
+        let feasible_from = |t: f64| move |f: &f64| *f >= t;
+        // The optimum between two milestones.
+        assert_eq!(
+            locate_range(&ms, &1.0, Some(&8.0), feasible_from(5.0)),
+            (4.0, Some(6.0), 5.0, 3)
+        );
+        // Below the first milestone, and above the last: the bracket's
+        // own ends close the range.
+        assert_eq!(
+            locate_range(&ms, &1.0, Some(&8.0), feasible_from(1.5)),
+            (1.0, Some(2.0), 1.5, 1)
+        );
+        assert_eq!(
+            locate_range(&ms, &1.0, Some(&8.0), feasible_from(7.0)),
+            (6.0, Some(8.0), 7.0, 2)
+        );
+        // No milestone: the whole bracket, no probe.
+        assert_eq!(
+            locate_range(&[], &1.0, Some(&8.0), feasible_from(7.0)),
+            (1.0, Some(8.0), 4.5, 0)
+        );
+        assert_eq!(
+            locate_range(&[], &0.0, None, feasible_from(7.0)),
+            (0.0, None, 1.0, 0)
+        );
     }
 
     #[test]

@@ -17,18 +17,38 @@ use dlflow_num::Scalar;
 
 /// All strictly positive milestones, sorted ascending and deduplicated.
 pub fn milestones<S: Scalar>(inst: &Instance<S>) -> Vec<S> {
+    let releases: Vec<S> = inst.jobs().iter().map(|j| j.release.clone()).collect();
+    let mut out = Vec::new();
+    milestones_above(inst, &releases, &S::zero(), &mut out);
+    out
+}
+
+/// The milestones strictly above `f_lo` when job `j`'s deadline is
+/// `origins[j] + F/w_j`, sorted ascending and deduplicated into `out`
+/// (cleared first, so a caller can recycle it).
+///
+/// Theorem 2 measures deadlines from the releases themselves
+/// ([`milestones`] passes them, with `f_lo = 0`). An online re-plan at
+/// time `now` instead releases every remaining job at `now` while its
+/// deadline still runs from the job's original release; the crossings
+/// of a deadline with `now` all lie at or below the flow already
+/// incurred, which is what `f_lo` cuts away.
+pub fn milestones_above<S: Scalar>(inst: &Instance<S>, origins: &[S], f_lo: &S, out: &mut Vec<S>) {
     let n = inst.n_jobs();
-    let mut out: Vec<S> = Vec::new();
+    debug_assert_eq!(origins.len(), n);
+    out.clear();
+    let above = |f: &S| f.cmp_total(f_lo).is_gt();
 
     // Deadline j meets release k.
-    for j in 0..n {
-        let rj = &inst.job(j).release;
+    for (j, oj) in origins.iter().enumerate() {
         let wj = &inst.job(j).weight;
         for k in 0..n {
-            let rk = &inst.job(k).release;
-            let diff = rk.sub(rj);
+            let diff = inst.job(k).release.sub(oj);
             if diff.is_positive_tol() {
-                out.push(wj.mul(&diff));
+                let f = wj.mul(&diff);
+                if above(&f) {
+                    out.push(f);
+                }
             }
         }
     }
@@ -36,16 +56,14 @@ pub fn milestones<S: Scalar>(inst: &Instance<S>) -> Vec<S> {
     // Deadline j meets deadline k (two affine functions intersect at most once).
     for j in 0..n {
         for k in (j + 1)..n {
-            let rj = &inst.job(j).release;
-            let rk = &inst.job(k).release;
             let sj = inst.job(j).weight.recip(); // slope of d̄_j
             let sk = inst.job(k).weight.recip();
             let denom = sj.sub(&sk);
             if denom.is_negligible() {
                 continue; // parallel deadlines never cross (or are identical)
             }
-            let f = rk.sub(rj).div(&denom);
-            if f.is_positive_tol() {
+            let f = origins[k].sub(&origins[j]).div(&denom);
+            if f.is_positive_tol() && above(&f) {
                 out.push(f);
             }
         }
@@ -60,7 +78,6 @@ pub fn milestones<S: Scalar>(inst: &Instance<S>) -> Vec<S> {
     // extra (monotone) probe and never affects correctness.
     out.sort_unstable_by(|a, b| a.cmp_total(b));
     out.dedup();
-    out
 }
 
 /// The theoretical upper bound `n² − n` on the number of milestones.
@@ -122,6 +139,25 @@ mod tests {
         b.machine(vec![Some(Rat::one()), Some(Rat::one())]);
         let inst = b.build().unwrap();
         assert_eq!(milestones(&inst), vec![Rat::from_i64(2), Rat::from_i64(4)]);
+    }
+
+    #[test]
+    fn milestones_above_measure_deadlines_from_origins() {
+        // Both jobs released at 5, deadlines 0 + F and 3 + F/2: they
+        // meet the release at F = 5 and F = 4, and each other at F = 6.
+        let mut b = InstanceBuilder::<Rat>::new();
+        b.job(Rat::from_i64(5), Rat::one());
+        b.job(Rat::from_i64(5), Rat::from_i64(2));
+        b.machine(vec![Some(Rat::one()), Some(Rat::one())]);
+        let inst = b.build().unwrap();
+        let origins = [Rat::zero(), Rat::from_i64(3)];
+        let mut ms = vec![Rat::one()]; // cleared first
+        milestones_above(&inst, &origins, &Rat::zero(), &mut ms);
+        assert_eq!(ms, [4, 5, 6].map(Rat::from_i64));
+        // Above the flow already incurred, max(1·5, 2·2), only the
+        // deadline crossing is left.
+        milestones_above(&inst, &origins, &Rat::from_i64(5), &mut ms);
+        assert_eq!(ms, [Rat::from_i64(6)]);
     }
 
     #[test]

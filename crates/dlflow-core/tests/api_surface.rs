@@ -81,12 +81,13 @@ fn probe_lp_and_range_lp_agree_on_feasibility() {
     let probe = build_deadline_probe_lp(&inst, &deadlines, false);
     assert_eq!(solve(&probe).status, LpStatus::Optimal);
 
+    let releases: Vec<Rat> = inst.jobs().iter().map(|j| j.release.clone()).collect();
     let RangeLp {
         lp,
         alpha,
         f_var,
         intervals,
-    } = build_range_lp(&inst, &ri(1), Some(&ri(4)), &ri(3), false);
+    } = build_range_lp(&inst, &releases, &ri(1), Some(&ri(4)), &ri(3), false);
     let sol = solve(&lp);
     assert_eq!(sol.status, LpStatus::Optimal);
     assert!(!alpha.is_empty());

@@ -211,6 +211,27 @@ impl<S: Scalar> LpProblem<S> {
         });
     }
 
+    /// Divides every constraint row (terms and right-hand side) by its
+    /// largest coefficient magnitude. The feasible set and the optimum
+    /// do not change; a floating-point simplex may fare better on rows
+    /// whose coefficients span many orders of magnitude.
+    pub fn equilibrate_rows(&mut self) {
+        for c in &mut self.constraints {
+            let scale = c
+                .expr
+                .terms
+                .iter()
+                .map(|(_, x)| x.abs())
+                .fold(S::zero(), |m, x| if x > m { x } else { m });
+            if scale.is_positive_tol() {
+                for (_, x) in &mut c.expr.terms {
+                    *x = x.div(&scale);
+                }
+                c.rhs = c.rhs.div(&scale);
+            }
+        }
+    }
+
     /// Upper bound `var ≤ ub` as a constraint row.
     pub fn bound_le(&mut self, var: VarId, ub: S) {
         self.add_constraint(LinExpr::term(var, S::one()), Rel::Le, ub);
@@ -286,6 +307,23 @@ mod tests {
         assert!(lp.check_feasible(&vals).is_ok());
         assert!(lp.check_feasible(&[3.0, 2.0]).is_err());
         assert!(lp.check_feasible(&[-1.0, 0.0]).is_err());
+    }
+
+    #[test]
+    fn equilibrated_rows_keep_the_feasible_set() {
+        let mut lp: LpProblem<f64> = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        let mut e = LinExpr::new();
+        e.push(x, 4.0).push(y, -2.0);
+        lp.add_constraint(e, Rel::Le, 6.0);
+        lp.add_constraint(LinExpr::new(), Rel::Eq, 0.0); // empty: untouched
+        lp.equilibrate_rows();
+        let row = &lp.constraints()[0];
+        assert_eq!(row.expr.terms, vec![(x, 1.0), (y, -0.5)]);
+        assert_eq!(row.rhs, 1.5);
+        assert!(lp.check_feasible(&[1.5, 0.0]).is_ok());
+        assert!(lp.check_feasible(&[2.0, 0.0]).is_err());
     }
 
     #[test]

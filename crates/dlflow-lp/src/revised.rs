@@ -848,11 +848,11 @@ fn infeasibility_margin<S: Scalar>(tab: &Tab<S>) -> S {
 }
 
 /// Persistent solving context for a *run of zero-objective feasibility
-/// probes on one constraint matrix* — the shape the Theorem-2 bisection
-/// produces: within a bracket segment, consecutive probe LPs
-/// (`build_deadline_probe_lp`-style) share every coefficient and
-/// differ only in their right-hand sides (the interval lengths tracking
-/// the bisected objective).
+/// probes on one constraint matrix* — the shape a search over the
+/// objective produces (`OlaLite`'s walk): within a bracket segment,
+/// consecutive probe LPs (`build_deadline_probe_lp`-style) share every
+/// coefficient and differ only in their right-hand sides (the interval
+/// lengths tracking the probed objective).
 ///
 /// A plain [`solve_warm`] re-realizes the hinted basis by Gaussian
 /// pivoting on every call — `O(m)` pivots that dominate the solve at

@@ -89,11 +89,9 @@ pub enum SchedulerSpec {
     Ola {
         /// Minimum simulated time between LP re-solves (0 = every event).
         throttle: f64,
-        /// Bisection iterations per re-solve.
-        bisection: usize,
     },
-    /// The production-cheap OLA variant: geometric objective walk
-    /// instead of a full bisection (see [`OlaLite`]).
+    /// The OLA variant that walks the objective geometrically instead
+    /// of searching it exactly (see [`OlaLite`]).
     OlaLite {
         /// Geometric walk factor (> 1); the committed objective
         /// overshoots the optimum by at most this factor.
@@ -121,21 +119,14 @@ impl SchedulerSpec {
             SchedulerSpec::RoundRobin => Box::new(RoundRobin::new()),
             SchedulerSpec::WeightedAge => Box::new(WeightedAge::new()),
             SchedulerSpec::Edf { target } => Box::new(Edf::with_target(*target)),
-            SchedulerSpec::Ola {
-                throttle,
-                bisection,
-            } => {
-                let mut ola = OfflineAdapt::with_throttle(*throttle);
-                ola.bisection_iters = *bisection;
-                Box::new(ola)
-            }
+            SchedulerSpec::Ola { throttle } => Box::new(OfflineAdapt::with_throttle(*throttle)),
             SchedulerSpec::OlaLite { alpha } => Box::new(OlaLite::with_alpha(*alpha)),
         }
     }
 
     /// Parses the compact one-token form used by `dlflow simulate
     /// --scheduler`: `kind[:key=val[,key=val…]]`, e.g. `swrpt` or
-    /// `ola:throttle=30,bisect=20` — the same kinds and options as the
+    /// `ola:throttle=30` — the same kinds and options as the
     /// campaign config's `scheduler` lines.
     pub fn parse_compact(spec: &str) -> Result<SchedulerSpec, String> {
         let (kind, opts) = match spec.split_once(':') {
@@ -191,24 +182,14 @@ impl SchedulerSpec {
                 Ok(SchedulerSpec::Edf { target })
             }
             "ola" => {
-                only(&["throttle", "bisect"])?;
+                only(&["throttle"])?;
                 let throttle = get("throttle", 0.0);
-                let bisection = get("bisect", 40.0);
                 if throttle < 0.0 {
                     return Err(format!(
                         "scheduler ola: throttle must be non-negative, got {throttle}"
                     ));
                 }
-                // dlflint:allow(float-eq, "fract() == 0.0 is an exact integrality test")
-                if !(1.0..=MAX_COUNT).contains(&bisection) || bisection.fract() != 0.0 {
-                    return Err(format!(
-                        "scheduler ola: bisect must be a whole number in 1..={MAX_COUNT}, got {bisection}"
-                    ));
-                }
-                Ok(SchedulerSpec::Ola {
-                    throttle,
-                    bisection: bisection as usize,
-                })
+                Ok(SchedulerSpec::Ola { throttle })
             }
             "olalite" => {
                 only(&["alpha"])?;
@@ -979,7 +960,6 @@ mod tests {
             ("workload w load=0", "load must be positive"),
             ("scheduler edf target=0", "target must be positive"),
             ("scheduler ola throttle=-1", "non-negative"),
-            ("scheduler ola bisect=0", "whole number"),
             ("scheduler ola throttle=inf", "finite"),
             // Names reach JSON strings and markdown cells unescaped, so
             // the charset is restricted at parse time.
@@ -996,17 +976,27 @@ mod tests {
     }
 
     #[test]
+    fn bisect_is_an_unknown_ola_option() {
+        // OLA searches F by milestones; the retired bisection's knob is
+        // rejected like any other unknown option, with its line number.
+        let err = parse_campaign("platform p\nworkload w\nscheduler ola bisect=20\n").unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
+        assert!(err.contains("unknown option \"bisect\""), "{err}");
+        for spec in ["ola:bisect=20", "ola:throttle=30,bisect=20"] {
+            let err = SchedulerSpec::parse_compact(spec).unwrap_err();
+            assert!(err.contains("unknown option \"bisect\""), "{spec}: {err}");
+        }
+    }
+
+    #[test]
     fn compact_specs_parse_like_config_lines() {
         assert_eq!(
             SchedulerSpec::parse_compact("swrpt").unwrap(),
             SchedulerSpec::Swrpt
         );
         assert_eq!(
-            SchedulerSpec::parse_compact("ola:throttle=30,bisect=20").unwrap(),
-            SchedulerSpec::Ola {
-                throttle: 30.0,
-                bisection: 20
-            }
+            SchedulerSpec::parse_compact("ola:throttle=30").unwrap(),
+            SchedulerSpec::Ola { throttle: 30.0 }
         );
         assert_eq!(
             SchedulerSpec::parse_compact("edf:target=3").unwrap(),
@@ -1038,27 +1028,17 @@ mod tests {
             SchedulerSpec::Mct,
             SchedulerSpec::RoundRobin,
             SchedulerSpec::Edf { target: 3.0 },
-            SchedulerSpec::Ola {
-                throttle: 30.0,
-                bisection: 40,
-            },
+            SchedulerSpec::Ola { throttle: 30.0 },
             SchedulerSpec::OlaLite { alpha: 1.5 },
         ] {
             assert_eq!(spec.label(), spec.build().name());
         }
-        assert_eq!(
-            SchedulerSpec::Ola {
-                throttle: 30.0,
-                bisection: 40
-            }
-            .label(),
-            "OLA(t=30)"
-        );
+        assert_eq!(SchedulerSpec::Ola { throttle: 30.0 }.label(), "OLA(t=30)");
         // Every knob is label-visible, so a single-knob sweep is two
         // distinct entrants rather than a duplicate error.
-        let sweep = "platform p\nworkload w\nscheduler ola bisect=10\nscheduler ola\n";
+        let sweep = "platform p\nworkload w\nscheduler ola throttle=10\nscheduler ola\n";
         let cfg = parse_campaign(sweep).unwrap();
-        assert_eq!(cfg.schedulers[0].label(), "OLA(b=10)");
+        assert_eq!(cfg.schedulers[0].label(), "OLA(t=10)");
         assert_eq!(cfg.schedulers[1].label(), "OLA");
     }
 
@@ -1126,7 +1106,7 @@ mod tests {
             "name reg\nseeds 3\nsigbits 11\n\
              platform small servers=3 banks=4 heterogeneity=2.5\n\
              workload mix jobs=6 load=1.5\n\
-             scheduler ola throttle=20 bisect=25\n",
+             scheduler ola throttle=20\n",
         )
         .unwrap();
         let report = run_campaign(&cfg).unwrap();
@@ -1142,14 +1122,14 @@ mod tests {
     #[test]
     fn ola_participates_and_reports_per_run_ratio() {
         let cfg = parse_campaign(
-            "name olatest\nseeds 1\nsigbits 10\nplatform p servers=2 banks=2 heterogeneity=2\nworkload w jobs=3 load=1.0\nscheduler ola bisect=20\n",
+            "name olatest\nseeds 1\nsigbits 10\nplatform p servers=2 banks=2 heterogeneity=2\nworkload w jobs=3 load=1.0\nscheduler ola\n",
         )
         .unwrap();
         let report = run_campaign(&cfg).unwrap();
         assert_eq!(report.runs.len(), 1);
         let r = &report.runs[0];
-        assert_eq!(r.scheduler, "OLA(b=20)"); // non-default bisect shows in the label
-                                              // OLA tracks the offline optimum closely on tiny instances.
+        assert_eq!(r.scheduler, "OLA");
+        // OLA tracks the offline optimum closely on tiny instances.
         assert!(r.stretch_ratio < 3.0, "ratio {}", r.stretch_ratio);
     }
 }

@@ -416,22 +416,21 @@ impl Allocation {
 /// include them stay byte-stable across runs and machines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolveStats {
-    /// Full re-plans performed (bisection + final rate solve).
+    /// Full re-plans performed (search for `F` + final rate solve).
     pub n_resolves: usize,
-    /// LP solves served by warm-basis reuse.
+    /// LP solves served by warm-basis reuse (`OlaLite`'s walk probes).
     pub warm_lp_solves: usize,
-    /// LP solves performed from scratch (cold starts, tolerance-band
-    /// probes pinned to the cold path, and the final rate solve).
+    /// LP solves performed from scratch: every solve of `OfflineAdapt`'s
+    /// milestone search, and `OlaLite`'s cold fallbacks and final rate
+    /// solves.
     pub cold_lp_solves: usize,
     /// Re-plans during which at least one LP solve was served warm —
-    /// the event-level "did the warm machinery engage" counter. A
-    /// resolve always ends with cold solves (the tolerance-band tail of
-    /// the bisection and the final rate extraction are pinned to the
-    /// legacy path by design), so the honest event-level question is
-    /// engagement, not purity.
+    /// the event-level "did the warm machinery engage" counter. An
+    /// `OlaLite` resolve always ends with a cold rate solve, so the
+    /// honest event-level question is engagement, not purity.
     pub warm_resolves: usize,
-    /// Re-plans served entirely by cold solves (the oracle mode, plus
-    /// warm-mode events vetoed by the conditioning/coincidence guards).
+    /// Re-plans served entirely by cold solves (every `OfflineAdapt`
+    /// re-plan, and `OlaLite` events with no trusted warm verdict).
     pub cold_resolves: usize,
 }
 

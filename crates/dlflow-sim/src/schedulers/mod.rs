@@ -17,21 +17,23 @@
 //!   (`d̂_j = r_j + k·p̄_j/w_j`), the deadline-driven member of the
 //!   comparison set (guesses cached at arrival).
 //! * [`offline_adapt::OfflineAdapt`] — the paper's proposal: re-solve the
-//!   offline divisible max-weighted-flow problem at every event and follow
+//!   offline divisible max-weighted-flow problem at every event, finding
+//!   its optimal objective by Theorem 2's milestone search, and follow
 //!   its first-interval rates (divisibility gives preemption for free).
 //!   Its [`min_resolve_interval`](offline_adapt::OfflineAdapt::min_resolve_interval)
 //!   throttles the re-solve cadence for cheap approximate variants.
-//! * [`ola_lite::OlaLite`] — the production-cheap member of the OLA
-//!   family: instead of a full per-event bisection it geometrically
-//!   walks the previous event's objective into place (factor `α`),
-//!   spending O(1) warm LP probes per event in steady state at the cost
-//!   of an α-factor objective overshoot.
+//! * [`ola_lite::OlaLite`] — the warm-path member of the OLA family:
+//!   instead of an exact search it geometrically walks the previous
+//!   event's objective into place (factor `α`), spending O(1) warm LP
+//!   probes per event in steady state at the cost of an α-factor
+//!   objective overshoot.
 //!
 //! The two OLA policies differ only in how they search the objective
 //! `F`. Both embed the crate-private `ola_core` re-plan core, which holds
 //! everything else exactly once: the platform mask, the scratch copy of
-//! the active set, recycled LP buffers, the cross-event warm-basis carry,
-//! the persistent probe cache, the warm verdict rule, the
+//! the active set, recycled LP buffers, the cross-event warm-basis carry
+//! and the persistent probe cache (used by `OlaLite` only), the warm
+//! verdict rule, the
 //! [`ResolveStats`](crate::engine::ResolveStats) counters, and the
 //! re-plan prologue (placeable-subset filter, remaining-work
 //! sub-instance, bracket on `F`) and epilogue (rate extraction, basis

@@ -6,12 +6,11 @@
 //! system (their *remaining* work) while accounting for the time they
 //! have already spent waiting:
 //!
-//! 1. binary-search the smallest feasible objective `F` such that the
-//!    deadline windows `[now, r_j + F/w_j]` admit a divisible schedule of
-//!    the remaining work (the probe is the paper's System (2), built by
-//!    `dlflow-core`);
-//! 2. take the first time interval of the feasible schedule and convert
-//!    its fractions `α⁽⁰⁾ᵢⱼ` into machine shares;
+//! 1. find the smallest objective `F` such that the deadline windows
+//!    `[now, r_j + F/w_j]` admit a divisible schedule of the remaining
+//!    work, by Theorem 2's milestone search (below);
+//! 2. take the first time interval of a schedule meeting those
+//!    deadlines and convert its fractions `α⁽⁰⁾ᵢⱼ` into machine shares;
 //! 3. follow those rates until the next event (arrival/completion), then
 //!    re-plan. Divisibility makes preemption and migration free.
 //!
@@ -19,119 +18,62 @@
 //! the active set the engine hands to `plan`, so it works unchanged on
 //! open-arrival traces.
 //!
-//! Everything except step 1's search is the OLA family's shared re-plan
-//! core (the crate-private `ola_core` module, also behind
+//! Everything except the search is the OLA family's shared re-plan core
+//! (the crate-private `ola_core` module, also behind
 //! [`super::OlaLite`]): the scratch copy of the active set, the
-//! placeable-subset filter, the remaining-work sub-instance, the bracket
-//! on `F`, the warm-basis carry, the probe cache, the warm verdict rule,
-//! first-interval rate extraction and the [`ResolveStats`] counters.
-//! This module keeps the bisection with its guard stack, its cold
-//! fallback, [`ResolveMode`] and the `min_resolve_interval` plan reuse.
+//! placeable-subset filter, the remaining-work sub-instance (every job
+//! released at `now`, weights floored), the bracket `(lo, hi)` on `F`
+//! (the flow already incurred, and a serial schedule's flow), the
+//! filtered feasibility probe, first-interval rate extraction and the
+//! [`ResolveStats`] counters. This module keeps the search and the
+//! `min_resolve_interval` plan reuse.
 //!
-//! # Incremental re-solves
+//! # The search
 //!
-//! Re-solving at every event is the paper's accuracy story and this
-//! module's cost story. The per-event work is dominated by the
-//! bisection's LP feasibility probes, and two facts make most of them
-//! cheap:
+//! The deadline of job `j` is `r_j + F/w_j`, measured from its
+//! **original** release, so a job that has waited longer has a tighter
+//! window. Inside the bracket the order of the deadlines changes only
+//! at *milestones*: the values of `F` where two deadlines cross. Between
+//! two consecutive milestones every interval length is affine in `F`,
+//! so `F` can be an ordinary LP variable (§4.3.2). Per re-plan:
 //!
-//! * probes of one sub-problem share a **shape-stable** LP form
-//!   ([`build_deadline_probe_lp`]); within a bracket segment they share
-//!   every *coefficient* and differ only in RHS, so a
-//!   [`ProbeCache`](dlflow_lp::ProbeCache)
-//!   retains the realized tableau between probes and re-solves by a
-//!   pure RHS patch plus a handful of dual-simplex pivots — no basis
-//!   re-realization at all on the common path;
-//! * the sub-problem itself changes *incrementally* between events —
-//!   a completion blanks a job column, an arrival appends one — so the
-//!   last basis of the previous event carries across the active-set
-//!   churn via [`WarmBasis::remap`](dlflow_lp::WarmBasis::remap) +
-//!   [`probe_var_remap`](dlflow_core::lp_build::probe_var_remap), seeding the
-//!   cache's first re-realization of the new shape.
+//! 1. list the milestones inside `(lo, hi)`
+//!    ([`milestones_above`], with the original releases as deadline
+//!    origins);
+//! 2. binary-search them with the filtered probe (System (2), solved
+//!    from scratch) to isolate the range that holds the optimum
+//!    ([`locate_range`]);
+//! 3. solve one LP over that range: System (3), with every job's
+//!    remaining work available at `now` ([`build_range_lp`]). Its
+//!    optimum is `F*`;
+//! 4. solve the filtered deadline LP at `F*` and take the rates from it.
 //!
-//! Warm starting must not change behaviour, only cost: the committed
-//! campaign goldens pin this policy's output bit-for-bit, so every
-//! probe verdict must equal what the legacy computation (filtered
-//! builder + cold solve) would have said. A warm simplex solve follows
-//! a different pivot path than a cold one, so the bisection runs the
-//! warm path only behind a stack of guards and falls back to the exact
-//! legacy computation everywhere else:
+//! That is at most ⌈log₂ k⌉ + 4 LP solves for `k` milestones in the
+//! bracket, one more with the retry below (about 2–3 per re-plan on
+//! the campaigns), all from scratch:
+//! the search has no tolerance band to guard, so this policy uses
+//! neither the warm-basis carry nor the probe cache (they serve
+//! [`super::OlaLite`]'s walk). The sub-instance measures weights in a
+//! power-of-two unit near the largest weight, so the LPs see `F` at
+//! unit scale however small the weights are; and if f64 roundoff makes
+//! the range LP fail (a zero weight floors to a 1e12 deadline slope),
+//! it is re-solved once with its rows equilibrated.
 //!
-//! * a warm *feasible* verdict is accepted only with a **primal
-//!   certificate** in hand ([`certifies`](dlflow_lp::certifies)): a
-//!   certified feasible point is true regardless of the pivot path,
-//!   while an uncertified warm optimum is recomputed cold — an
-//!   ill-conditioned basis re-realization can otherwise corrupt the
-//!   tableau into claiming either verdict;
-//! * a warm *infeasible* verdict is accepted only when it comes from
-//!   the persistent RHS-patch path (exact algebra on a tableau that was
-//!   realized once and never re-pivoted from scratch, so no
-//!   re-realization corruption risk) **and** refutes feasibility by a
-//!   decisive margin ([`dlflow_lp::ProbeSolve::infeasible_margin`] above
-//!   a fixed fraction of the bracket scale); every other
-//!   infeasibility claim — in particular any from a freshly
-//!   re-realized basis — is recomputed by the exact legacy path;
-//! * sub-problems whose LP entries span more than
-//!   `COST_SPREAD_GUARD`⁻¹ in magnitude (a nearly-finished job's
-//!   `remaining · c` next to full-size entries) sit the warm path out
-//!   entirely: such LPs have been observed to make even the *cold*
-//!   solver's verdict pivot-path dependent, and the goldens pin the
-//!   cold behaviour, warts and all;
-//! * probes whose deadlines nearly coincide with each other or with
-//!   `now` (`tol_fragile`) go legacy: admissibility is decided by ±1e-9
-//!   tolerance comparisons, and a probe on that boundary can differ
-//!   macroscopically between the two LP formulations;
-//! * once the bracket shrinks to `(hi − lo) ≤ ``WARM_SAFE_REL_WIDTH``
-//!   · hi` the probe sits near the feasibility boundary, where the
-//!   verdict is rounding noise — legacy decides.
-//!
-//! The final rate-extracting solve is always the legacy cold path.
-//! Allocations are thus bit-identical to a full cold re-solve
-//! ([`ResolveMode::ColdOracle`], the differential-test oracle), which
-//! the differential suite and the goldens enforce empirically.
+//! Step 4's point is fixed by rule: `F*` exactly as the range LP
+//! returns it. Only if roundoff makes the filtered LP infeasible there
+//! do the range LP's own first-interval rates stand in (and only if the
+//! range LP itself fails does the filtered LP at the range's feasible
+//! end). Both LPs describe optimal schedules, but different vertices of
+//! them, and the range LP's vertex plans worse: its rates raised the
+//! quick campaign's mean OLA stretch ratio from 1.003 to 1.010, so it
+//! is only the fallback.
 
-use super::ola_core::{self, FSearch, JobCols, OlaCore, Replan};
+use super::ola_core::{self, FSearch, FinalSolve, JobCols, OlaCore, Replan};
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
-use dlflow_core::lp_build::{build_deadline_probe_lp, DeadlineLp};
-use dlflow_lp::{solve, solve_warm, LpSolution};
-
-/// Relative bracket width below which bisection probes switch from
-/// warm shape-stable solves to the exact legacy cold computation.
-///
-/// Near the feasibility boundary the probe LP's infeasibility margin is
-/// smaller than the `f64` simplex tolerances, so the verdict depends on
-/// the pivot path taken — a warm start would answer differently than
-/// the cold solve the committed goldens pin. How wide that ambiguous
-/// band is depends on the LP's geometry (on unit workloads flips appear
-/// below ~5·10⁻⁹ relative width; on chaos workloads, where a binding
-/// constraint can respond weakly to the deadlines being bisected, up to
-/// ~1·10⁻⁶), so the cutoff carries a 100× margin over the widest flip
-/// observed — and the campaign goldens plus the differential tests in
-/// `ola_differential.rs` enforce the equivalence empirically across
-/// seeds, fault intensities and interruption points.
-const WARM_SAFE_REL_WIDTH: f64 = 1e-4;
-
-/// Minimum ratio between the smallest and largest finite LP cost entry
-/// of a sub-problem for warm probes to engage (see the conditioning
-/// guard in `search`). Six orders of magnitude of column spread is
-/// where the f64 simplex's verdicts were observed to stop being
-/// pivot-path independent.
-const COST_SPREAD_GUARD: f64 = 1e-6;
-
-/// How [`OfflineAdapt`] runs its per-event LP re-solves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ResolveMode {
-    /// Warm-started shape-stable probes outside the solver's tolerance
-    /// band, the exact legacy computation inside it (the default).
-    /// Bit-identical to [`ResolveMode::ColdOracle`] by construction.
-    #[default]
-    WarmIncremental,
-    /// Every probe and the final solve run from scratch exactly as the
-    /// pre-warm implementation did. This is the differential-test
-    /// oracle and the bench baseline; it exists to *prove* the warm
-    /// path is a pure perf change.
-    ColdOracle,
-}
+use dlflow_core::lp_build::build_range_lp;
+use dlflow_core::maxflow::locate_range;
+use dlflow_core::milestones::milestones_above;
+use dlflow_lp::solve;
 
 /// Rates cached by the re-solve throttle (see
 /// [`OfflineAdapt::min_resolve_interval`]).
@@ -145,40 +87,26 @@ struct PlanCache {
 }
 
 /// Online adaptation of the offline divisible optimum.
+#[derive(Default)]
 pub struct OfflineAdapt {
-    /// Bisection iterations (each one LP feasibility solve).
-    pub bisection_iters: usize,
     /// Re-solve throttle: minimum simulated time between two full
-    /// bisection+LP re-solves. `0.0` (the default) re-solves at every
-    /// event, as §5 describes — warm-started probes keep the eager mode
-    /// affordable. With a positive interval, events inside the window
+    /// re-solves. `0.0` (the default) re-solves at every event, as §5
+    /// describes. With a positive interval, events inside the window
     /// reuse the last solve's rates (masked to still-active jobs) —
     /// unless a *new* job has arrived since, or the cached rates would
     /// leave every active job idle, both of which force a re-solve.
     /// This trades optimality for plan cost: the knob the campaign's
     /// `ola throttle=τ` scheduler spec sweeps.
     pub min_resolve_interval: f64,
-    /// Probe execution strategy (warm hybrid vs the cold oracle).
-    pub resolve_mode: ResolveMode,
     cache: Option<PlanCache>,
+    /// Recycled milestone buffer.
+    ms: Vec<f64>,
     /// The shared OLA re-plan state and telemetry.
     core: OlaCore,
 }
 
-impl Default for OfflineAdapt {
-    fn default() -> Self {
-        OfflineAdapt {
-            bisection_iters: 40,
-            min_resolve_interval: 0.0,
-            resolve_mode: ResolveMode::default(),
-            cache: None,
-            core: OlaCore::default(),
-        }
-    }
-}
-
 impl OfflineAdapt {
-    /// Fresh policy with default precision.
+    /// Fresh policy that re-solves at every event.
     pub fn new() -> Self {
         Self::default()
     }
@@ -193,43 +121,62 @@ impl OfflineAdapt {
         }
     }
 
-    /// Fresh policy in [`ResolveMode::ColdOracle`]: every LP from
-    /// scratch, exactly the pre-warm implementation. Used as the
-    /// differential-test oracle and the bench baseline.
-    pub fn cold_oracle() -> Self {
-        OfflineAdapt {
-            resolve_mode: ResolveMode::ColdOracle,
-            ..Self::default()
-        }
-    }
-}
+    /// Theorem 2 on the event's sub-problem (see the module docs).
+    /// Returns `F*` and the solve to take rates from (`None` = plan
+    /// idle). If the range LP fails, `F*` is the located range's
+    /// feasible end.
+    fn theorem2(&mut self, ev: &mut Replan<'_>) -> (f64, Option<FinalSolve>) {
+        // The sub-instance measures weights in `ev.unit`, so the search
+        // runs on `F / unit`; the probes and the result convert back.
+        let unit = ev.unit;
+        let (lo, hi) = (ev.lo / unit, ev.hi / unit);
+        let origins = ev.origins();
+        milestones_above(&ev.sub, origins, &lo, &mut self.ms);
+        let inside = self.ms.partition_point(|&f| f < hi);
+        self.ms.truncate(inside);
 
-/// Coincidence guard for warm probes: `true` when some deadline lands
-/// within `TOL_GUARD` of `now` (every sub-job's release) or of another
-/// deadline.
-///
-/// The LP builders decide interval admissibility with tolerance
-/// comparisons (±1e-9). When two time points nearly coincide, a probe
-/// sits exactly on that decision boundary, the shape-stable and the
-/// filtered formulation can disagree *macroscopically* (a whole
-/// interval's worth of work admitted by one and not the other), and the
-/// verdict becomes unreproducible pivot-path noise — and because a huge
-/// weight makes `d = r + F/w` nearly constant in `F`, the coincidence
-/// can persist across the entire bisection bracket, so no bracket-width
-/// cutoff catches it. Such probes must take the legacy path. The guard
-/// is 1000× the comparison tolerance: spurious hits only cost a warm
-/// opportunity, misses would cost golden identity.
-fn tol_fragile(d: &[f64], now: f64) -> bool {
-    const TOL_GUARD: f64 = 1e-6;
-    for (j, &dj) in d.iter().enumerate() {
-        if (dj - now).abs() <= TOL_GUARD {
-            return true;
+        let core = &mut self.core;
+        let (f_lo, f_hi, reference, _) = locate_range(&self.ms, &lo, Some(&hi), |&f| {
+            ev.set_f(f * unit);
+            !ev.window_empty() && core.filtered_solve(ev).1.is_optimal()
+        });
+        // The bracket is bounded above, so the located range is too.
+        let f_hi = f_hi.unwrap_or(hi);
+
+        let mut range = build_range_lp(&ev.sub, origins, &f_lo, Some(&f_hi), &reference, false);
+        core.stats.cold_lp_solves += 1;
+        let mut sol = solve(&range.lp);
+        if !sol.is_optimal() {
+            // A deadline slope far above the rest (a zero weight floors
+            // to `MIN_WEIGHT`, slope 1e12) leaves capacity rows whose `F`
+            // coefficient dwarfs their `α` coefficients, and the f64
+            // simplex can then misjudge feasibility. Retry once with
+            // every row scaled to a unit largest coefficient.
+            range.lp.equilibrate_rows();
+            core.stats.cold_lp_solves += 1;
+            sol = solve(&range.lp);
         }
-        if d[..j].iter().any(|&dk| (dj - dk).abs() <= TOL_GUARD) {
-            return true;
+        if !sol.is_optimal() {
+            // Roundoff only: `f_hi` is feasible (a probed milestone, or
+            // the serial bound). Plan from the filtered LP there.
+            ev.set_f(f_hi * unit);
+            let (built, at_hi) = core.filtered_solve(ev);
+            let solved = at_hi
+                .is_optimal()
+                .then_some(FinalSolve::Deadline(built, at_hi));
+            return (f_hi * unit, solved);
         }
+
+        let f_star = sol.values[range.f_var.index()] * unit;
+        ev.set_f(f_star);
+        let (built, at_star) = core.filtered_solve(ev);
+        let solved = if at_star.is_optimal() {
+            FinalSolve::Deadline(built, at_star)
+        } else {
+            FinalSolve::Range(range, sol)
+        };
+        (f_star, Some(solved))
     }
-    false
 }
 
 impl FSearch for OfflineAdapt {
@@ -237,8 +184,9 @@ impl FSearch for OfflineAdapt {
         &mut self.core
     }
 
+    /// Every solve of the milestone search is cold.
     fn warm(&self) -> bool {
-        self.resolve_mode == ResolveMode::WarmIncremental
+        false
     }
 
     /// Attempts to serve `plan` from the cache: permitted only when the
@@ -305,86 +253,8 @@ impl FSearch for OfflineAdapt {
         (next_completion <= cache.solved_at + self.min_resolve_interval).then_some(alloc)
     }
 
-    /// Hybrid bisection: warm shape-stable probes while the bracket is
-    /// wide, the exact legacy computation once it shrinks into the
-    /// solver's tolerance band (see `WARM_SAFE_REL_WIDTH`). Within a
-    /// bracket segment every warm probe after the first is a pure RHS
-    /// patch on the probe cache's retained tableau.
-    fn search(&mut self, ev: &mut Replan<'_>) -> Option<(DeadlineLp<f64>, LpSolution<f64>)> {
-        // Conditioning guard: a sub-problem whose finite LP entries span
-        // many orders of magnitude (typically a nearly-finished job —
-        // `remaining · c` of ~1e-7 next to entries of ~1e2) puts the f64
-        // simplex outside the regime where its verdict is a function of
-        // the problem rather than of the pivot path: the cold solver has
-        // been observed to (reproducibly) declare such LPs infeasible
-        // even when a certified feasible point exists. The goldens pin
-        // the cold behaviour, so the warm path must sit those events
-        // out entirely.
-        let mut cmin = f64::INFINITY;
-        let mut cmax = 0.0f64;
-        for i in 0..ev.sub.n_machines() {
-            for k in 0..ev.cols.n() {
-                if let Some(&c) = ev.sub.cost(i, k).finite() {
-                    cmin = cmin.min(c);
-                    cmax = cmax.max(c);
-                }
-            }
-        }
-        let well_conditioned = cmin > COST_SPREAD_GUARD * cmax;
-
-        let (mut lo, mut hi) = (ev.lo, ev.hi);
-        // Side-effect-free check (a stateless cold solve): the warm-basis
-        // chain must look identical in debug and release builds, so the
-        // assertion must not seed or consume the chained basis.
-        debug_assert!(
-            {
-                ev.set_f(hi);
-                solve(&build_deadline_probe_lp(&ev.sub, &ev.d, false)).is_optimal()
-            },
-            "upper bound must be feasible"
-        );
-
-        for _ in 0..self.bisection_iters {
-            let mid = 0.5 * (lo + hi);
-            ev.set_f(mid);
-            let feasible = if ev.window_empty() {
-                false
-            } else if self.resolve_mode == ResolveMode::ColdOracle
-                || !well_conditioned
-                || (hi - lo) <= WARM_SAFE_REL_WIDTH * hi
-                || tol_fragile(&ev.d, ev.now)
-            {
-                self.core.filtered_solve(ev).1.is_optimal()
-            } else {
-                let lp = build_deadline_probe_lp(&ev.sub, &ev.d, false);
-                match self.core.warm_probe(ev, &lp, hi) {
-                    Some(v) => v,
-                    None => {
-                        // No trusted warm verdict. With no basis to work
-                        // from at all (a fresh run), seed the cache's
-                        // next attempt from a cold probe-shape solve —
-                        // exactly how the pre-cache implementation
-                        // seeded its basis chain.
-                        if ev.hint.is_none() {
-                            ev.hint = solve_warm(&lp, None).basis;
-                        }
-                        self.core.filtered_solve(ev).1.is_optimal()
-                    }
-                }
-            };
-            if feasible {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-
-        // Final solve at the feasible end of the bracket — always the
-        // legacy cold path, whose basic solution the goldens pin.
-        ev.set_f(hi);
-        let solved = self.core.filtered_solve(ev);
-        debug_assert!(solved.1.is_optimal());
-        Some(solved)
+    fn search(&mut self, ev: &mut Replan<'_>) -> Option<FinalSolve> {
+        self.theorem2(ev).1
     }
 
     fn commit(&mut self, now: f64, ids: &[usize], alloc: &Allocation) {
@@ -412,22 +282,12 @@ impl FSearch for OfflineAdapt {
 
 impl OnlineScheduler for OfflineAdapt {
     fn name(&self) -> String {
-        // Every non-default knob appears in the name: campaign reports
+        // A non-default throttle appears in the name: campaign reports
         // derive their column labels (and duplicate detection) from it.
-        let mut knobs = Vec::new();
         if self.min_resolve_interval > 0.0 {
-            knobs.push(format!("t={}", self.min_resolve_interval));
-        }
-        if self.bisection_iters != OfflineAdapt::default().bisection_iters {
-            knobs.push(format!("b={}", self.bisection_iters));
-        }
-        if self.resolve_mode == ResolveMode::ColdOracle {
-            knobs.push("cold".to_string());
-        }
-        if knobs.is_empty() {
-            "OLA".into()
+            format!("OLA(t={})", self.min_resolve_interval)
         } else {
-            format!("OLA({})", knobs.join(","))
+            "OLA".into()
         }
     }
 
@@ -461,12 +321,9 @@ impl OnlineScheduler for OfflineAdapt {
     }
 
     fn snapshot_state(&self) -> String {
-        // The warm basis and the probe cache's retained tableau are
-        // deliberately *not* serialized: both are pure pivot-order
-        // hints, and the hybrid bisection returns the same verdicts
-        // with or without them, so dropping them on restore cannot
-        // change allocations — only the warm/cold split of the first
-        // post-restore events (telemetry, which restarts at zero).
+        // The search keeps nothing across events but the milestone
+        // buffer's capacity: the state is the resolve count and the
+        // throttle's cached plan.
         let mut s = self.core.snapshot_head();
         if let Some(cache) = &self.cache {
             s.push_str(&format!("solved_at {:016x}\n", cache.solved_at.to_bits()));
@@ -562,6 +419,7 @@ mod tests {
     use crate::engine::{simulate, Engine, JobSpec, RunMetrics};
     use crate::schedulers::mct::Mct;
     use dlflow_core::instance::InstanceBuilder;
+    use dlflow_core::lp_build::build_deadline_lp;
 
     #[test]
     fn splits_divisible_job_across_machines() {
@@ -743,27 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_mode_is_bit_identical_to_cold_oracle() {
-        // The tentpole invariant in miniature (the full property test
-        // lives in tests/ola_differential.rs): eager warm-hybrid OLA and
-        // the all-cold oracle produce the same completions to the bit.
-        use crate::workload::{generate, WorkloadSpec};
-        for seed in [3, 11, 29] {
-            let inst = generate(&WorkloadSpec {
-                n_jobs: 10,
-                n_machines: 3,
-                mean_interarrival: 0.8,
-                seed,
-                ..Default::default()
-            });
-            let warm = simulate(&inst, &mut OfflineAdapt::new()).unwrap();
-            let cold = simulate(&inst, &mut OfflineAdapt::cold_oracle()).unwrap();
-            assert_eq!(warm.completions, cold.completions, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn resolve_stats_report_warm_and_cold_solves() {
+        // Every LP of the milestone search is solved from scratch, and a
+        // re-plan costs a handful of them: at least the range LP and the
+        // rate LP, plus the probes of the milestone binary search.
         use crate::workload::{generate, WorkloadSpec};
         let inst = generate(&WorkloadSpec {
             n_jobs: 10,
@@ -772,23 +613,242 @@ mod tests {
             seed: 7,
             ..Default::default()
         });
-        let mut warm = OfflineAdapt::new();
-        simulate(&inst, &mut warm).unwrap();
-        let stats = warm.resolve_stats().unwrap();
-        assert_eq!(stats.n_resolves, stats.warm_resolves + stats.cold_resolves);
-        assert!(stats.warm_lp_solves > 0, "warm probes must fire: {stats:?}");
-        assert!(
-            stats.cold_lp_solves > 0,
-            "tolerance-band probes and final solves stay cold: {stats:?}"
-        );
+        let mut ola = OfflineAdapt::new();
+        simulate(&inst, &mut ola).unwrap();
+        let stats = ola.resolve_stats().unwrap();
+        assert!(stats.n_resolves > 0, "{stats:?}");
+        assert_eq!(stats.warm_lp_solves, 0, "{stats:?}");
+        assert_eq!(stats.warm_resolves, 0, "{stats:?}");
+        assert_eq!(stats.cold_resolves, stats.n_resolves, "{stats:?}");
+        assert!(stats.cold_lp_solves >= 2 * stats.n_resolves, "{stats:?}");
+        assert!(stats.mean_lp_solves_per_resolve() <= 6.0, "{stats:?}");
+    }
 
-        let mut cold = OfflineAdapt::cold_oracle();
-        simulate(&inst, &mut cold).unwrap();
-        let cstats = cold.resolve_stats().unwrap();
-        assert_eq!(cstats.warm_lp_solves, 0, "the oracle never warm-starts");
-        assert_eq!(cstats.lp_solves(), cstats.cold_lp_solves);
-        // Verdict-identical runs do identical LP work in total.
-        assert_eq!(stats.n_resolves, cstats.n_resolves);
-        assert_eq!(stats.lp_solves(), cstats.lp_solves());
+    /// Re-plan time of the hand-built sub-problems.
+    const NOW: f64 = 10.0;
+
+    /// A seeded sub-problem at [`NOW`]: 1–6 jobs released before `NOW` on
+    /// 1–4 machines, about a third of the (job, machine) pairs
+    /// unavailable and, with two machines or more, one machine dead.
+    /// Every job keeps a live machine, as the placeability filter
+    /// guarantees before a search runs.
+    fn seeded_sub_problem(seed: u64) -> (JobCols, Vec<bool>) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = rng.gen_range(1..=4usize);
+        let n = rng.gen_range(1..=6usize);
+        let mut up = vec![true; m];
+        if m >= 2 {
+            up[rng.gen_range(0..m)] = false;
+        }
+        let live: Vec<usize> = (0..m).filter(|&i| up[i]).collect();
+        let mut cols = JobCols::default();
+        cols.n_machines = m;
+        for k in 0..n {
+            let mut costs: Vec<f64> = (0..m)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        f64::INFINITY
+                    } else {
+                        rng.gen_range(0.5..8.0)
+                    }
+                })
+                .collect();
+            let home = live[rng.gen_range(0..live.len())];
+            if !costs[home].is_finite() {
+                costs[home] = rng.gen_range(0.5..8.0);
+            }
+            let remaining = rng.gen_range(0.05..=1.0);
+            let waited = if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                rng.gen_range(0.0..4.0)
+            };
+            let release = NOW - waited;
+            let weight = 10f64.powf(rng.gen_range(-1.5..1.5));
+            cols.push(k, remaining, release, weight, &costs);
+        }
+        (cols, up)
+    }
+
+    /// One search on a hand-built sub-problem, with what the checks need.
+    struct Searched {
+        f_star: f64,
+        /// LP solves the search took.
+        solves: usize,
+        /// Milestones strictly inside the bracket, recounted here.
+        k: usize,
+        /// Filtered LP probes a binary search over them needs, recounted
+        /// with a plain cold solve per probe.
+        probes: usize,
+        feasible_just_above: bool,
+        feasible_just_below: bool,
+    }
+
+    fn search_sub_problem(cols: &JobCols, up: &[bool]) -> Searched {
+        let mut ola = OfflineAdapt::new();
+        ola.core.on_platform_change(up);
+        let mut ev = ola
+            .core
+            .begin(NOW, cols, false)
+            .expect("placeable sub-problem");
+        let before = ola.core.stats.lp_solves();
+        let (f_star, solved) = ola.theorem2(&mut ev);
+        let solves = ola.core.stats.lp_solves() - before;
+        assert!(solved.is_some(), "search produced no plan");
+
+        let unit = ev.unit;
+        let (lo, hi) = (ev.lo / unit, ev.hi / unit);
+        let mut ms = Vec::new();
+        milestones_above(&ev.sub, ev.origins(), &lo, &mut ms);
+        ms.retain(|&f| f < hi);
+        let mut probes = 0;
+        locate_range(&ms, &lo, Some(&hi), |&f| {
+            ev.set_f(f * unit);
+            if ev.window_empty() {
+                return false;
+            }
+            probes += 1;
+            solve(&build_deadline_lp(&ev.sub, &ev.d, false).lp).is_optimal()
+        });
+        let mut feasible = |f: f64| {
+            ev.set_f(f);
+            !ev.window_empty() && ola.core.filtered_solve(&ev).1.is_optimal()
+        };
+        Searched {
+            f_star,
+            solves,
+            k: ms.len(),
+            probes,
+            feasible_just_above: feasible(f_star * (1.0 + 1e-9)),
+            feasible_just_below: feasible(f_star * (1.0 - 1e-6)),
+        }
+    }
+
+    /// `⌈log₂ x⌉` for `x ≥ 1`.
+    fn ceil_log2(x: usize) -> usize {
+        x.next_power_of_two().trailing_zeros() as usize
+    }
+
+    #[test]
+    fn milestone_search_finds_the_feasibility_threshold() {
+        for seed in 0..240 {
+            let (cols, up) = seeded_sub_problem(seed);
+            let r = search_sub_problem(&cols, &up);
+            assert!(
+                r.f_star.is_finite() && r.f_star > 0.0,
+                "seed {seed}: F* = {}",
+                r.f_star
+            );
+            assert!(
+                r.feasible_just_above,
+                "seed {seed}: infeasible just above F* = {}",
+                r.f_star
+            );
+            assert!(
+                !r.feasible_just_below,
+                "seed {seed}: feasible just below F* = {}",
+                r.f_star
+            );
+        }
+    }
+
+    #[test]
+    fn milestone_search_solve_count_is_logarithmic_in_the_milestones() {
+        let mut crossing = 0;
+        for seed in 0..240 {
+            let (cols, up) = seeded_sub_problem(seed);
+            let r = search_sub_problem(&cols, &up);
+            // Exactly the binary search's probes, the range LP and the
+            // rate LP.
+            assert_eq!(r.solves, r.probes + 2, "seed {seed}: k = {}", r.k);
+            assert!(
+                r.solves <= 2 * ceil_log2(r.k + 1) + 2,
+                "seed {seed}: {} LP solves for k = {} milestones",
+                r.solves,
+                r.k
+            );
+            crossing += usize::from(r.k >= 3);
+        }
+        // The binary search must run, not only its one- and two-probe
+        // shortcuts.
+        assert!(
+            crossing >= 20,
+            "only {crossing} sub-problems have k ≥ 3 milestones"
+        );
+    }
+
+    #[test]
+    fn milestone_search_edge_cases() {
+        const INF: f64 = f64::INFINITY;
+        // (case, jobs as (remaining, release, weight, costs on 2 machines),
+        // F* in closed form, LP solves). No milestone lies inside any of
+        // these brackets, so the search solves the range LP and the rate
+        // LP only — except that the zero weight's 1e12 deadline slope
+        // makes the range LP take its conditioning retry.
+        type Jobs = &'static [(f64, f64, f64, [f64; 2])];
+        let cases: [(&str, Jobs, Option<f64>, usize); 4] = [
+            // Rates 1/2 + 1/4 finish the job 4/3 after NOW.
+            (
+                "one job",
+                &[(1.0, 8.0, 1.0, [2.0, 4.0])],
+                Some(10.0 / 3.0),
+                2,
+            ),
+            (
+                "equal weights: deadlines never cross",
+                &[
+                    (1.0, 7.0, 1.0, [2.0, 3.0]),
+                    (0.5, 9.0, 1.0, [1.0, 5.0]),
+                    (1.0, 10.0, 1.0, [4.0, INF]),
+                ],
+                None,
+                2,
+            ),
+            // A splits 3:1 across the machines, B runs on the fast one:
+            // both done 1.5 after NOW.
+            (
+                "same release and weight",
+                &[(1.0, 9.0, 2.0, [2.0, 2.0]), (1.0, 9.0, 2.0, [3.0, 1.0])],
+                Some(5.0),
+                2,
+            ),
+            // The zero-weight job's deadline runs off to 1e12, so the
+            // other job gets both machines: done 3/4 after NOW.
+            (
+                "a zero-weight job",
+                &[(1.0, 6.0, 0.0, [2.0, 2.0]), (1.0, 9.0, 1.0, [1.0, 3.0])],
+                Some(1.75),
+                3,
+            ),
+        ];
+        for (what, jobs, exact, solves) in cases {
+            let mut cols = JobCols::default();
+            cols.n_machines = 2;
+            for (k, &(remaining, release, weight, costs)) in jobs.iter().enumerate() {
+                cols.push(k, remaining, release, weight, &costs);
+            }
+            let r = search_sub_problem(&cols, &[]);
+            assert_eq!(r.k, 0, "{what}: milestones inside the bracket");
+            assert_eq!(r.solves, solves, "{what}: LP solves");
+            if let Some(f) = exact {
+                assert!(
+                    (r.f_star - f).abs() < 1e-9 * f,
+                    "{what}: F* = {}, want {f}",
+                    r.f_star
+                );
+            }
+            assert!(
+                r.feasible_just_above,
+                "{what}: infeasible just above F* = {}",
+                r.f_star
+            );
+            assert!(
+                !r.feasible_just_below,
+                "{what}: feasible just below F* = {}",
+                r.f_star
+            );
+        }
     }
 }

@@ -11,22 +11,25 @@
 //!   [`ProbeCache`] and the [`ResolveStats`] counters ([`OlaCore`]);
 //! * the prologue of a re-plan: refresh the scratch columns, filter to
 //!   the jobs placeable on a live machine, build the remaining-work
-//!   sub-instance, carry the previous event's basis in, bracket `F`
+//!   sub-instance (weights floored and measured in a power-of-two
+//!   unit), carry the previous event's basis in, bracket `F`
 //!   ([`Replan`]);
-//! * the warm verdict rule ([`OlaCore::warm_probe`]): a warm feasible
+//! * the filtered feasibility probe ([`OlaCore::filtered_solve`]) and
+//!   the warm verdict rule ([`OlaCore::warm_probe`]): a warm feasible
 //!   verdict needs a primal certificate, a warm infeasible one the
 //!   persistent RHS-patch path plus a decisive margin;
-//! * the epilogue: resolve counting, first-interval rate extraction,
-//!   carrying the basis out and recycling buffers.
+//! * the epilogue: resolve counting, first-interval rate extraction
+//!   ([`FinalSolve`]), carrying the basis out and recycling buffers.
 //!
-//! A policy implements [`FSearch`] (its search, plus optional plan reuse
-//! and commit hooks) and forwards `plan` to [`plan`]; dispatch is
-//! static. Cold fallbacks stay with each policy: `OfflineAdapt`'s is
-//! pinned by the campaign goldens, `OlaLite`'s by its own output pins.
+//! A policy implements [`FSearch`] (its search, whether it uses the
+//! warm path, plus optional plan reuse and commit hooks) and forwards
+//! `plan` to [`plan`]; dispatch is static. `OfflineAdapt` searches
+//! cold; `OlaLite` runs the warm chain and probe cache and keeps its own
+//! cold fallback, pinned by its output pins.
 
 use crate::engine::{ActiveSet, Allocation, ResolveStats};
 use dlflow_core::instance::{Cost, Instance, Job};
-use dlflow_core::lp_build::{build_deadline_lp, probe_var_remap, DeadlineLp};
+use dlflow_core::lp_build::{build_deadline_lp, probe_var_remap, AlphaVar, DeadlineLp, RangeLp};
 use dlflow_lp::{certifies, solve, LpProblem, LpSolution, LpStatus, ProbeCache, WarmBasis};
 use std::mem;
 
@@ -186,14 +189,15 @@ impl WarmChain {
 }
 
 /// Builds the *remaining-work* sub-instance at `now` into recycled
-/// buffers: one job per column with cost `remaining · c[i][j]` and
-/// release `now`. Dead machines (per the `up` mask; empty = all live)
-/// contribute all-`Infinite` rows, so the LP plans over live machines
-/// only. `None` only if some column has no live finite machine — callers
+/// buffers: one job per column with cost `remaining · c[i][j]`, release
+/// `now` and its floored weight in multiples of `unit`. Dead machines
+/// (per the `up` mask; empty = all live) contribute all-`Infinite`
+/// rows, so the LP plans over live machines only. `None` only if some column has no live finite machine — callers
 /// pre-filter, so that is their bug, not an event.
 fn build_sub(
     now: f64,
     cols: &JobCols,
+    unit: f64,
     up: &[bool],
     recycle: &mut SubBuffers,
 ) -> Option<Instance<f64>> {
@@ -202,7 +206,7 @@ fn build_sub(
     for k in 0..cols.n() {
         jobs.push(Job {
             release: now,
-            weight: cols.weight[k].max(MIN_WEIGHT),
+            weight: cols.weight[k].max(MIN_WEIGHT) / unit,
             name: String::default(), // names are cosmetic; skip the per-job format
         });
     }
@@ -221,6 +225,16 @@ fn build_sub(
     Instance::new(jobs, cost).ok()
 }
 
+/// The weight unit of a re-plan: the largest power of two not above
+/// the largest floored weight. The sub-instance's weights are measured
+/// in it, so Theorem 2's search sees `F` at unit scale whatever the
+/// weights' magnitude (the LP's tolerances are absolute); dividing by a
+/// power of two is exact.
+fn weight_unit(cols: &JobCols) -> f64 {
+    let w_max = cols.weight.iter().fold(MIN_WEIGHT, |m, &w| m.max(w));
+    2f64.powi(w_max.log2().floor() as i32)
+}
+
 /// Brackets the optimal objective: `lo` is the flow already incurred
 /// (any feasible `F` is at least the largest `w·(now − r)`), `hi`
 /// serializes all remaining work on each job's fastest machine, padded
@@ -230,7 +244,7 @@ fn bracket(now: f64, cols: &JobCols, sub: &Instance<f64>) -> (f64, f64) {
         .weight
         .iter()
         .zip(&cols.release)
-        .map(|(&w, &r)| w * (now - r))
+        .map(|(&w, &r)| w.max(MIN_WEIGHT) * (now - r))
         .fold(0.0f64, f64::max);
     let total_serial: f64 = (0..cols.n()).map(|k| sub.fastest_cost(k)).sum();
     let hi = cols
@@ -245,29 +259,52 @@ fn bracket(now: f64, cols: &JobCols, sub: &Instance<f64>) -> (f64, f64) {
     (lo, hi)
 }
 
-/// First-interval rates from a solved deadline LP: α⁽⁰⁾ᵢⱼ · c'ᵢⱼ is the
-/// time machine i spends on job j within the interval; divided by the
+/// The solve a search hands back for first-interval rate extraction.
+pub(crate) enum FinalSolve {
+    /// The filtered deadline LP at the committed objective.
+    Deadline(DeadlineLp<f64>, LpSolution<f64>),
+    /// A range LP at its own optimum `F` (OLA's roundoff fallback).
+    Range(RangeLp<f64>, LpSolution<f64>),
+}
+
+impl FinalSolve {
+    /// The `α` variables, the first interval's length (`None` when there
+    /// is no finite interval) and the solved values.
+    fn first_interval(&self) -> (&[AlphaVar], Option<f64>, &[f64]) {
+        match self {
+            FinalSolve::Deadline(built, sol) => {
+                let len0 = (built.intervals.n_intervals() > 0).then(|| built.intervals.len(0));
+                (&built.alpha, len0, &sol.values)
+            }
+            FinalSolve::Range(built, sol) => {
+                let f = sol.values[built.f_var.index()];
+                let len0 =
+                    (built.intervals.n_intervals() > 0).then(|| built.intervals.len(0).eval(&f));
+                (&built.alpha, len0, &sol.values)
+            }
+        }
+    }
+}
+
+/// First-interval rates from a final solve: α⁽⁰⁾ᵢⱼ · c'ᵢⱼ is the time
+/// machine i spends on job j within the interval; divided by the
 /// interval length it is the machine share. Returns the allocation and
 /// whether the solution produced any usable first interval.
 fn first_interval_rates(
-    built: &DeadlineLp<f64>,
-    sol: &LpSolution<f64>,
+    solved: &FinalSolve,
     sub: &Instance<f64>,
     cols: &JobCols,
 ) -> (Allocation, bool) {
     let mut alloc = Allocation::idle(cols.n_machines);
-    if built.intervals.n_intervals() == 0 {
+    let (alpha, len0, values) = solved.first_interval();
+    let Some(len0) = len0.filter(|&l| l > 0.0) else {
         return (alloc, false);
-    }
-    let len0 = built.intervals.len(0);
-    if len0 <= 0.0 {
-        return (alloc, false);
-    }
-    for (t, i, k, v) in &built.alpha {
+    };
+    for (t, i, k, v) in alpha {
         if *t != 0 {
             continue;
         }
-        let frac = sol.values[v.index()];
+        let frac = values[v.index()];
         if frac <= 1e-12 {
             continue;
         }
@@ -300,6 +337,9 @@ pub(crate) struct Replan<'a> {
     pub(crate) lo: f64,
     /// Serial upper bound on `F`, feasible by construction.
     pub(crate) hi: f64,
+    /// The sub-instance's weight unit: its weights are the floored
+    /// weights divided by `unit`, so `F` in its terms is `F / unit`.
+    pub(crate) unit: f64,
     /// Deadlines of the objective last passed to [`Replan::set_f`].
     pub(crate) d: Vec<f64>,
     /// The previous event's basis and its variable map, consumed by the
@@ -318,7 +358,7 @@ pub(crate) struct Replan<'a> {
     warm: bool,
 }
 
-impl Replan<'_> {
+impl<'a> Replan<'a> {
     /// Sets the deadlines induced by objective `f`, measured from the
     /// **original** releases (so jobs that have waited longer get
     /// tighter windows), clamped below `now` (a deadline in the past
@@ -333,6 +373,11 @@ impl Replan<'_> {
                 .zip(&self.cols.weight)
                 .map(|(&r, &w)| (r + f / w.max(MIN_WEIGHT)).max(now - 1.0)), // < now ⇒ infeasible window
         );
+    }
+
+    /// The original releases: job `k`'s deadline is `origins()[k] + F/w_k`.
+    pub(crate) fn origins(&self) -> &'a [f64] {
+        &self.cols.release
     }
 
     /// Whether some deadline window is empty: `F` is infeasible with no
@@ -482,8 +527,14 @@ impl OlaCore {
     /// ones fall out in `remap`, arrivals start non-basic — and brackets
     /// `F`. `None` only if the sub-instance cannot be built, which the
     /// placeability filter rules out.
-    fn begin<'a>(&mut self, now: f64, cols: &'a JobCols, warm: bool) -> Option<Replan<'a>> {
-        let sub = build_sub(now, cols, &self.up, &mut self.sub_recycle)?;
+    pub(crate) fn begin<'a>(
+        &mut self,
+        now: f64,
+        cols: &'a JobCols,
+        warm: bool,
+    ) -> Option<Replan<'a>> {
+        let unit = weight_unit(cols);
+        let sub = build_sub(now, cols, unit, &self.up, &mut self.sub_recycle)?;
         let pending = if warm {
             self.chain.carry_in(&sub, cols)
         } else {
@@ -496,6 +547,7 @@ impl OlaCore {
             sub,
             lo,
             hi,
+            unit,
             d: mem::take(&mut self.d_buf),
             pending,
             hint: None,
@@ -510,11 +562,7 @@ impl OlaCore {
     /// event's sub-instance into the carry slot with the probe cache's
     /// last basis, and rotates the previous one's buffers back into the
     /// recycle pool. Returns the rates and whether they were produced.
-    fn finish(
-        &mut self,
-        ev: Replan<'_>,
-        solved: Option<(DeadlineLp<f64>, LpSolution<f64>)>,
-    ) -> (Allocation, bool) {
+    fn finish(&mut self, ev: Replan<'_>, solved: Option<FinalSolve>) -> (Allocation, bool) {
         self.stats.n_resolves += 1;
         if self.stats.warm_lp_solves > ev.warm_before {
             self.stats.warm_resolves += 1;
@@ -523,7 +571,7 @@ impl OlaCore {
         }
         self.d_buf = ev.d;
         let out = match &solved {
-            Some((built, sol)) => first_interval_rates(built, sol, &ev.sub, ev.cols),
+            Some(solved) => first_interval_rates(solved, &ev.sub, ev.cols),
             None => (Allocation::idle(ev.cols.n_machines), false),
         };
         if ev.warm {
@@ -562,7 +610,7 @@ pub(crate) trait FSearch {
 
     /// Searches `F` on `ev` and returns the final solve to extract rates
     /// from (`None` = plan idle).
-    fn search(&mut self, ev: &mut Replan<'_>) -> Option<(DeadlineLp<f64>, LpSolution<f64>)>;
+    fn search(&mut self, ev: &mut Replan<'_>) -> Option<FinalSolve>;
 
     /// Called with freshly produced rates over the columns `ids`.
     fn commit(&mut self, _now: f64, _ids: &[usize], _alloc: &Allocation) {}
@@ -628,4 +676,63 @@ fn replan<P: FSearch>(policy: &mut P, now: f64, cols: &mut JobCols) -> Allocatio
         policy.commit(now, &cols.ids, &alloc);
     }
     alloc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlflow_core::lp_build::build_range_lp;
+
+    #[test]
+    fn range_lp_rates_match_the_filtered_lp_on_one_job() {
+        // OLA's roundoff fallback reads the rates off the range LP's own
+        // vertex. One job (remaining work 2 and 4 on the two machines,
+        // waited 2) finishes 4/3 after `now` with both machines flat
+        // out, whichever LP the rates come from.
+        let mut cols = JobCols {
+            n_machines: 2,
+            ..Default::default()
+        };
+        cols.push(7, 1.0, 8.0, 1.0, &[2.0, 4.0]);
+        let mut core = OlaCore::default();
+        let mut ev = core.begin(10.0, &cols, false).expect("placeable job");
+        let (lo, hi) = (ev.lo / ev.unit, ev.hi / ev.unit);
+        let mid = 0.5 * (lo + hi);
+        let range = build_range_lp(&ev.sub, ev.origins(), &lo, Some(&hi), &mid, false);
+        let sol = solve(&range.lp);
+        let f_star = sol.values[range.f_var.index()] * ev.unit;
+        assert!((f_star - 10.0 / 3.0).abs() < 1e-9, "F* = {f_star}");
+        ev.set_f(f_star);
+        let (built, at_star) = core.filtered_solve(&ev);
+        for solved in [
+            FinalSolve::Range(range, sol),
+            FinalSolve::Deadline(built, at_star),
+        ] {
+            let (alloc, produced) = first_interval_rates(&solved, &ev.sub, &cols);
+            assert!(produced);
+            for i in 0..2 {
+                assert!((alloc.share(i, 7) - 1.0).abs() < 1e-9, "machine {i}");
+            }
+        }
+    }
+
+    impl JobCols {
+        /// Appends one job column (`costs[i]` on machine `i`,
+        /// `f64::INFINITY` = unavailable): sub-problems built by hand.
+        pub(crate) fn push(
+            &mut self,
+            id: usize,
+            remaining: f64,
+            release: f64,
+            weight: f64,
+            costs: &[f64],
+        ) {
+            debug_assert_eq!(costs.len(), self.n_machines);
+            self.ids.push(id);
+            self.remaining.push(remaining);
+            self.release.push(release);
+            self.weight.push(weight);
+            self.costs.extend_from_slice(costs);
+        }
+    }
 }

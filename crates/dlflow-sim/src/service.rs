@@ -662,28 +662,28 @@ mod tests {
 
     #[test]
     fn eager_warm_ola_reports_warm_dominated_resolve_costs() {
-        // The tentpole regression: with warm incremental re-solves on
-        // (the default), a 1k-arrival replay must engage the warm
-        // machinery on nearly every re-plan — if the warm path silently
-        // degrades to cold everywhere, this trips. The *event-level*
-        // counters are the honest yardstick: every resolve deliberately
-        // ends with cold solves (the bisection's tolerance-band tail
-        // and the final rate solve are pinned to the legacy path by the
-        // golden-compatibility guards), so per-LP counts can never show
-        // warm ≫ cold, but per-resolve counts must.
+        // OLA-lite, the one user of the warm path: a 1k-arrival replay
+        // must engage the warm machinery on nearly every re-plan — if
+        // the warm path silently degrades to cold everywhere, this
+        // trips. The *event-level* counters are the honest yardstick:
+        // every resolve deliberately ends with a cold rate solve, so
+        // per-LP counts need not show warm ≫ cold, but per-resolve
+        // counts must.
         let trace = generate_trace(&TraceSpec {
             n_requests: 1000,
             seed: 7,
             ..Default::default()
         });
-        let spec = SchedulerSpec::parse_compact("ola").unwrap();
+        let spec = SchedulerSpec::parse_compact("olalite").unwrap();
         let report = run_simulation(&SimInput::Open(trace), &spec).unwrap();
-        let rs = report.resolve_stats.expect("OLA reports resolve telemetry");
+        let rs = report
+            .resolve_stats
+            .expect("OLA-lite reports resolve telemetry");
         assert!(rs.n_resolves > 0);
         assert_eq!(rs.warm_resolves + rs.cold_resolves, rs.n_resolves);
         assert!(
             rs.warm_resolves > 10 * rs.cold_resolves.max(1),
-            "eager warm OLA must serve re-plans warm ≫ cold: {} warm vs {} cold",
+            "OLA-lite must serve re-plans warm ≫ cold: {} warm vs {} cold",
             rs.warm_resolves,
             rs.cold_resolves
         );

@@ -1,114 +1,54 @@
-//! Differential harness: warm-basis OLA against the cold-resolve
-//! oracle.
+//! Differential harness for the OLA family's snapshot and throttle
+//! paths.
 //!
-//! The warm machinery (persistent `ProbeCache` re-solves, chained basis
-//! carry, margin-gated infeasibility verdicts) is a *pure perf change*:
-//! every feasibility verdict it serves must agree with a from-scratch
-//! solve, so allocations and completions are required to be
-//! **bit-identical** to [`OfflineAdapt::cold_oracle`] — across seeded
-//! traces, every fault intensity, and snapshot/restore interruption at
-//! every k-th event. The same holds with the re-solve throttle on
-//! (`min_resolve_interval`), whose cached plan must also survive a
-//! snapshot/restore unchanged.
-//!
-//! Snapshot semantics under test: the warm basis and probe cache are
-//! deliberately **not** serialized by `dlflow-snapshot v1` — they are
-//! pure pivot-order hints, safe to drop and rebuild after a restore.
-//! The interrupted runs here restore into *fresh* policy instances
-//! (empty caches) and must still reproduce the uninterrupted cold
-//! oracle bit for bit; any verdict leaking out of a stale basis would
-//! surface as a diverging completion float.
+//! `dlflow-snapshot v1` carries each OLA policy's resolve count and
+//! its own state (`OfflineAdapt`'s throttle cache, `OlaLite`'s walk
+//! anchor). It deliberately does **not** carry `OlaLite`'s warm basis
+//! or probe cache: they are pure pivot-order hints, safe to drop and
+//! rebuild after a restore. The interrupted runs here restore into
+//! *fresh* policy instances (empty caches) at every k-th event, across
+//! seeded traces and every fault intensity, and must reproduce the
+//! uninterrupted run bit for bit; any state the snapshot loses shows
+//! as a diverging completion float.
 
 mod common;
 
 use common::{completions_of, load, run_interrupted, traced};
 use dlflow_sim::engine::{OnlineScheduler, ResolveStats};
-use dlflow_sim::schedulers::offline_adapt::ResolveMode;
 use dlflow_sim::schedulers::{OfflineAdapt, OlaLite};
 use dlflow_sim::workload::Trace;
 use proptest::prelude::*;
 
 /// Uninterrupted run, returning completions and resolve telemetry.
-fn run_straight(trace: &Trace, policy: &mut OfflineAdapt) -> (Vec<(usize, u64)>, ResolveStats) {
+fn run_straight<P: OnlineScheduler>(
+    trace: &Trace,
+    policy: &mut P,
+) -> (Vec<(usize, u64)>, ResolveStats) {
     policy.reset();
     let mut eng = load(trace);
     eng.drain(policy).unwrap();
-    let stats = OnlineScheduler::resolve_stats(policy).unwrap();
+    let stats = policy.resolve_stats().unwrap();
     (completions_of(&mut eng), stats)
-}
-
-/// Throttled policy (re-solve at most once per `tau`) in `mode`.
-fn throttled(tau: f64, mode: ResolveMode) -> OfflineAdapt {
-    let mut policy = OfflineAdapt::with_throttle(tau);
-    policy.resolve_mode = mode;
-    policy
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Warm-path OLA is bit-identical to the cold-resolve oracle across
-    /// seeds and fault intensities — and pays for exactly as many LP
-    /// solves in total (the warm path changes *who* answers a probe,
-    /// never *how many* probes the bisection asks).
+    /// Eager OLA keeps nothing across events that the snapshot drops:
+    /// a run restored at every k-th event matches the uninterrupted one
+    /// bit for bit.
     #[test]
-    fn warm_ola_is_bit_identical_to_cold_oracle(
-        seed in 0u64..20_000,
-        n in 4usize..12,
-        intensity in 0u8..3,
-    ) {
-        let trace = traced(seed, n, intensity);
-        let (cold_done, cold_stats) =
-            run_straight(&trace, &mut OfflineAdapt::cold_oracle());
-        let (warm_done, warm_stats) =
-            run_straight(&trace, &mut OfflineAdapt::new());
-        prop_assert_eq!(cold_done.len(), n);
-        prop_assert_eq!(&warm_done, &cold_done);
-        prop_assert_eq!(warm_stats.lp_solves(), cold_stats.lp_solves());
-        prop_assert_eq!(warm_stats.n_resolves, cold_stats.n_resolves);
-        // The oracle never serves a probe warm, by construction.
-        prop_assert_eq!(cold_stats.warm_lp_solves, 0);
-        prop_assert_eq!(cold_stats.warm_resolves, 0);
-    }
-
-    /// Dropping the warm basis mid-run is safe: interrupting the warm
-    /// policy at every k-th event (snapshot → fresh instance → restore)
-    /// still reproduces the uninterrupted **cold oracle** bit for bit.
-    #[test]
-    fn interrupted_warm_run_matches_uninterrupted_cold_oracle(
+    fn interrupted_eager_run_matches_uninterrupted(
         seed in 0u64..20_000,
         n in 4usize..10,
         every in 1usize..5,
         intensity in 0u8..3,
     ) {
         let trace = traced(seed, n, intensity);
-        let (reference, _) =
-            run_straight(&trace, &mut OfflineAdapt::cold_oracle());
+        let (reference, _) = run_straight(&trace, &mut OfflineAdapt::new());
+        prop_assert_eq!(reference.len(), n);
         let (interrupted, _) = run_interrupted(&trace, every, OfflineAdapt::new);
         prop_assert_eq!(&interrupted, &reference);
-    }
-
-    /// The throttle's plan reuse is verdict-neutral too: a warm
-    /// throttled policy replays the cold throttled oracle bit for bit,
-    /// for a window shorter than most inter-event gaps and one spanning
-    /// many events.
-    #[test]
-    fn throttled_warm_ola_is_bit_identical_to_cold_oracle(
-        seed in 0u64..20_000,
-        n in 4usize..12,
-        intensity in 0u8..3,
-        long in 0u8..2,
-    ) {
-        let tau = if long == 1 { 5.0 } else { 0.5 };
-        let trace = traced(seed, n, intensity);
-        let (cold_done, cold_stats) =
-            run_straight(&trace, &mut throttled(tau, ResolveMode::ColdOracle));
-        let (warm_done, warm_stats) =
-            run_straight(&trace, &mut throttled(tau, ResolveMode::WarmIncremental));
-        prop_assert_eq!(cold_done.len(), n);
-        prop_assert_eq!(&warm_done, &cold_done);
-        prop_assert_eq!(warm_stats.n_resolves, cold_stats.n_resolves);
-        prop_assert_eq!(warm_stats.lp_solves(), cold_stats.lp_solves());
     }
 
     /// The throttle's cached plan (`solved_at`, `known`, `alloc`) round-
@@ -156,16 +96,15 @@ proptest! {
     }
 }
 
-/// The differential above must not pass vacuously: on a dense trace the
-/// eager-warm policy actually engages its warm machinery, and the mean
-/// resolve cost it reports is a real bisection (≫ 1 LP per re-plan).
+/// OLA-lite's warm machinery must not be dropped silently: on a dense
+/// trace it serves probes warm, and most re-plans engage it.
 #[test]
 fn warm_engagement_is_not_vacuous() {
     let trace = traced(7, 60, 0);
-    let (_, warm) = run_straight(&trace, &mut OfflineAdapt::new());
+    let (_, warm) = run_straight(&trace, &mut OlaLite::new());
     assert!(
         warm.warm_lp_solves > 0,
-        "eager-warm OLA never served a probe warm: {warm:?}"
+        "OLA-lite never served a probe warm: {warm:?}"
     );
     assert!(
         warm.warm_resolves > warm.cold_resolves,
@@ -177,7 +116,7 @@ fn warm_engagement_is_not_vacuous() {
     );
 }
 
-/// The throttled differentials above must not pass vacuously either:
+/// The throttled differential above must not pass vacuously either:
 /// both windows actually serve events from the cached plan.
 #[test]
 fn throttle_reuse_is_not_vacuous() {

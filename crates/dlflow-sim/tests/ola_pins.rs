@@ -248,6 +248,6 @@ fn ola_lite_snapshot_state_text() {
 #[test]
 fn throttled_ola_snapshot_state_text() {
     assert_eq!(state_after(&mut OfflineAdapt::with_throttle(5.0), 7),
-        "n_resolves 3\nsolved_at 3fef1cee85603c34\nknown 1 2\nalloc 3\nrow\nrow\nrow 1:3fd184e10c44e902 2:3fe73d8f79dd8b7f\n"
+        "n_resolves 3\nsolved_at 3fef1cee85603c34\nknown 1 2\nalloc 3\nrow\nrow\nrow 1:3fd184e10c0bf435 2:3fe73d8f79fa05e5\n"
     );
 }

@@ -137,7 +137,7 @@ fn campaign_json_parallel_vs_serial_byte_identical() {
         "name oracle\nseeds 3\nsigbits 10\n\
          platform p servers=3 banks=3 heterogeneity=2\n\
          workload w jobs=5 load=1.2\n\
-         scheduler swrpt\nscheduler mct\nscheduler ola bisect=15\n",
+         scheduler swrpt\nscheduler mct\nscheduler ola throttle=15\n",
     )
     .unwrap();
     let par = run_campaign(&cfg).unwrap().to_json();
